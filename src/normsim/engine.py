@@ -105,16 +105,11 @@ class AutomorphismGate:
         inv = auto_inverse(self.matrix)
         if inv is None:
             raise NotInvertible("matrix has no inverse over the group")
-        object.__setattr__(self, "_inverse", inv)
         object.__setattr__(self, "_z_action", endo_dual(inv))
 
     @property
     def group(self) -> AbelianGroup:
         return self.matrix.group
-
-    @property
-    def inverse_matrix(self) -> EndoMatrix:
-        return self._inverse
 
     def conjugate(self, label: PauliLabel) -> PauliLabel:
         return PauliLabel(
@@ -255,24 +250,17 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     if not labels:
         raise EngineError("empty stabilizer set")
     group = labels[0].group
-    d = group.moduli
-    n = len(labels)
-    m = group.num_factors
     h_parts = [s.x_part for s in labels]
     support = Subgroup(
         group, tuple(h for h in h_parts if not h.is_zero)
     )
-    # exponent tuples k with sum_i k_i h^i = 0 in G, via slack columns
-    rows = []
-    for j in range(m):
-        row = [h.residues[j] for h in h_parts]
-        row += [d[j] if s == j else 0 for s in range(m)]
-        rows.append(row)
+    # exponent tuples k with sum_i k_i h^i = 0 in G
+    rows = [[h.residues[j] for h in h_parts] for j in range(group.num_factors)]
     diag_gens: list[GroupElement] = []
     diag_phases: list[int] = []
-    for vec in kernel_basis(rows, num_cols=n + m):
+    for vec in kernel_basis(rows, num_cols=len(labels), moduli=group.moduli):
         prod = pauli_identity(group)
-        for s, k in zip(labels, vec[:n]):
+        for s, k in zip(labels, vec):
             if k:
                 prod = pauli_mul(prod, pauli_pow(s, k))
         if not prod.x_part.is_zero:

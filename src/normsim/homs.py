@@ -111,56 +111,33 @@ def endo_dual(A: EndoMatrix) -> EndoMatrix:
 def auto_inverse(A: EndoMatrix) -> EndoMatrix | None:
     """Matrix of the inverse automorphism, or None when A is not invertible.
 
-    Searches for an integer matrix B with d_j B_ij = 0 mod d_i (so B is
-    a homomorphism) and B A = identity mod the row moduli. Unknowns are
-    the m^2 entries of B plus slack variables absorbing both families of
-    congruences; the system is linear Diophantine, and feasibility is
-    exactly invertibility. The integer solution is projected entrywise
-    mod d_i afterwards.
+    Solves for B one row at a time: row k lives in Z_{d_k}, so its
+    entries B_k0..B_k(m-1) are the unknowns of 2m congruences mod d_k,
+
+        d_j B_kj = 0               for each j  (B is a homomorphism)
+        sum_j B_kj A_ji = delta_ki  for each i  (B undoes A on e^i)
+
+    The m systems are independent, and A is invertible exactly when
+    every one of them is solvable; the inverse is unique, so any
+    particular solution reduced mod d_k is row k of it.
     """
     group = A.group
     d = group.moduli
     m = group.num_factors
-    if m == 0:
-        return EndoMatrix(group, ())
-
-    def b_var(i, j):
-        return i * m + j
-
-    def u_var(i, j):
-        return m * m + i * m + j
-
-    def v_var(k, i):
-        return 2 * m * m + k * m + i
-
-    cols = 3 * m * m
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    # d_j B_ij + d_i u_ij = 0: columns of B are group elements
-    for i in range(m):
-        for j in range(m):
-            row = [0] * cols
-            row[b_var(i, j)] = d[j]
-            row[u_var(i, j)] = d[i]
-            rows.append(row)
-            rhs.append(0)
-    # sum_j B_kj A_ji + d_k v_ki = delta_ki: B undoes A on each e^i
+    homomorphism = [[d[j] if c == j else 0 for c in range(m)] for j in range(m)]
+    undoes = [[A.entry(j, i) for j in range(m)] for i in range(m)]
+    inv_rows = []
     for k in range(m):
-        for i in range(m):
-            row = [0] * cols
-            for j in range(m):
-                row[b_var(k, j)] = A.entry(j, i)
-            row[v_var(k, i)] = d[k]
-            rows.append(row)
-            rhs.append(1 if k == i else 0)
-    sol = solve_diophantine(rows, rhs)
-    if sol is None:
-        return None
-    b_cols = []
-    for j in range(m):
-        col = [sol.particular[b_var(i, j)] % d[i] for i in range(m)]
-        b_cols.append(group.element(col))
-    return EndoMatrix(group, tuple(b_cols))
+        rhs = [0] * m + [1 if i == k else 0 for i in range(m)]
+        sol = solve_diophantine(
+            homomorphism + undoes, rhs, num_cols=m, moduli=[d[k]] * (2 * m)
+        )
+        if sol is None:
+            return None
+        inv_rows.append([x % d[k] for x in sol.particular])
+    return EndoMatrix(
+        group, tuple(group.element([r[j] for r in inv_rows]) for j in range(m))
+    )
 
 
 @dataclass(frozen=True)
@@ -176,31 +153,31 @@ class Subgroup:
                 raise ValueError("generator belongs to a different group")
 
 
+def _character_rows(group: AbelianGroup, gens: Sequence[GroupElement]):
+    """One row per h, with chi_h(g) = exp(2*pi*i * (row . g) / order)."""
+    d = group.moduli
+    order = group.order
+    return [[order // dj * hj for dj, hj in zip(d, h.residues)] for h in gens]
+
+
 def orthogonal_subgroup(H: Subgroup) -> Subgroup:
     """Generators of {g : chi_g(h) = 1 for all h in H}.
 
-    The condition on g is sum_j (order * h_j / d_j) g_j = 0 mod order
-    for each generator h; appending slack columns with coefficient
-    `order` turns it into an integer system whose kernel, projected onto
-    the first m coordinates mod the moduli, generates the orthogonal.
+    The condition on g is the congruence
+    sum_j (order * h_j / d_j) g_j = 0 mod order for each generator h;
+    the kernel of that system, reduced mod the moduli, generates the
+    orthogonal.
     """
     group = H.group
-    d = group.moduli
-    m = group.num_factors
     gens = H.generators
     if not gens:
         return Subgroup(group, tuple(group.units()))
-    order = group.order
-    r = len(gens)
-    rows = []
-    for i, h in enumerate(gens):
-        row = [order // d[j] * h.residues[j] for j in range(m)]
-        row += [order if s == i else 0 for s in range(r)]
-        rows.append(row)
-    basis = kernel_basis(rows)
+    basis = kernel_basis(
+        _character_rows(group, gens), moduli=[group.order] * len(gens)
+    )
     out = []
     for vec in basis:
-        g = group.element(vec[:m])
+        g = group.element(vec)
         if not g.is_zero:
             out.append(g)
     return Subgroup(group, tuple(out))
@@ -220,21 +197,17 @@ def solve_character_system(
         raise ValueError("constraint count mismatch")
     if not gens:
         return group.zero()
-    d = group.moduli
-    m = group.num_factors
-    order = group.order
-    r = len(gens)
-    rows = []
-    for i, h in enumerate(gens):
-        if h.group != group:
-            raise ValueError("constraint element belongs to a different group")
-        row = [order // d[j] * h.residues[j] for j in range(m)]
-        row += [order if s == i else 0 for s in range(r)]
-        rows.append(row)
-    sol = solve_diophantine(rows, [int(s) for s in phases])
+    if any(h.group != group for h in gens):
+        raise ValueError("constraint element belongs to a different group")
+    sol = solve_diophantine(
+        _character_rows(group, gens),
+        [int(s) for s in phases],
+        num_cols=group.num_factors,
+        moduli=[group.order] * len(gens),
+    )
     if sol is None:
         return None
-    return group.element(sol.particular[:m])
+    return group.element(sol.particular)
 
 
 def subgroup_members(
@@ -257,14 +230,10 @@ def subgroup_members(
 
 
 def subgroup_contains(H: Subgroup, g: GroupElement) -> bool:
-    """Membership via Diophantine solvability; no enumeration."""
-    group = H.group
-    d = group.moduli
-    m = group.num_factors
+    """Membership via solvability of sum_i c_i h^i = g mod the moduli."""
     gens = H.generators
-    rows = []
-    for j in range(m):
-        row = [h.residues[j] for h in gens]
-        row += [d[j] if s == j else 0 for s in range(m)]
-        rows.append(row)
-    return solve_diophantine(rows, list(g.residues)) is not None
+    rows = [[h.residues[j] for h in gens] for j in range(H.group.num_factors)]
+    sol = solve_diophantine(
+        rows, list(g.residues), num_cols=len(gens), moduli=H.group.moduli
+    )
+    return sol is not None

@@ -1,8 +1,9 @@
-"""Exact integer linear algebra: linear Diophantine systems A x = b.
+"""Exact integer linear algebra: linear Diophantine and congruence systems.
 
-Matrices are lists of rows of unbounded Python integers. The solver
-returns one particular solution plus a lattice basis of the integer
-kernel, so the full solution set is particular + Z-span(kernel).
+Matrices are lists of rows of unbounded Python integers. A system is
+A x = b, with row i taken either exactly or, when `moduli` are given,
+mod d_i. The solver returns one particular solution plus a lattice basis
+of the kernel, so the full solution set is particular + Z-span(kernel).
 """
 
 from __future__ import annotations
@@ -89,30 +90,34 @@ def _column_echelon(A: IntMatrix, m: int):
     return H, U, pivots
 
 
-def kernel_basis(A: IntMatrix, num_cols: int | None = None) -> list[tuple[int, ...]]:
-    """A lattice basis of {x integer vector : A x = 0}.
+def kernel_basis(
+    A: IntMatrix, num_cols: int | None = None, moduli: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
+    """A lattice basis of {x integer vector : A x = 0}, mod d_i row-wise
+    when `moduli` are given (see solve_diophantine).
 
     Args:
         A: coefficient rows; may be empty.
         num_cols: required when A has no rows.
     """
-    n = len(A)
-    m = len(A[0]) if n else num_cols
-    if m is None:
-        raise ValueError("num_cols required for a matrix with no rows")
-    _, U, pivots = _column_echelon(A, m)
-    first_free = len(pivots)
-    return [tuple(U[i][j] for i in range(m)) for j in range(first_free, m)]
+    return list(solve_diophantine(A, [0] * len(A), num_cols, moduli).kernel)
 
 
 def solve_diophantine(
-    A: IntMatrix, b: Sequence[int], num_cols: int | None = None
+    A: IntMatrix,
+    b: Sequence[int],
+    num_cols: int | None = None,
+    moduli: Sequence[int] | None = None,
 ) -> DiophantineSolution | None:
-    """Solve A x = b over the integers.
+    """Solve A x = b over the integers, or A x = b mod moduli[i] in row i.
 
+    A congruence row gets a slack column d_i * e_i, so that the integer
+    solutions of the augmented rows are the solutions for x with slack
+    values appended; the particular solution and the kernel are returned
+    projected onto x, and span the full congruence solution set.
     Returns None when no integer solution exists (a distinguished
-    outcome, not an error). The result always satisfies A*particular = b
-    and A*k = 0 for each kernel generator; this is re-verified before
+    outcome, not an error). The particular solution and every kernel
+    generator are re-verified against the original rows before
     returning.
     """
     n = len(A)
@@ -121,21 +126,41 @@ def solve_diophantine(
     m = len(A[0]) if n else num_cols
     if m is None:
         raise ValueError("num_cols required for a matrix with no rows")
-    H, U, pivots = _column_echelon(A, m)
-    y = [0] * m
+    rows, total = A, m
+    if moduli is not None:
+        if len(moduli) != n or any(d < 1 for d in moduli):
+            raise ValueError("moduli must be one positive integer per row")
+        rows = [
+            list(row) + [d if s == i else 0 for s in range(n)]
+            for i, (row, d) in enumerate(zip(A, moduli))
+        ]
+        total += n
+
+    def satisfies(x, rhs) -> bool:
+        for i, row in enumerate(A):
+            r = sum(a * v for a, v in zip(row, x)) - rhs[i]
+            if moduli is not None:
+                r %= moduli[i]
+            if r:
+                return False
+        return True
+
+    H, U, pivots = _column_echelon(rows, total)
+    y = [0] * total
     for row, col in pivots:
         rem = b[row] - sum(H[row][j] * y[j] for j in range(col))
         if rem % H[row][col] != 0:
             return None
         y[col] = rem // H[row][col]
-    x = tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
+    x = tuple(sum(U[i][j] * y[j] for j in range(total)) for i in range(m))
     # rows without a pivot may still be violated; verify the lot exactly
-    for i in range(n):
-        if sum(A[i][j] * x[j] for j in range(m)) != b[i]:
-            return None
-    kernel = [tuple(U[i][j] for i in range(m)) for j in range(len(pivots), m)]
+    if not satisfies(x, b):
+        return None
+    # the first m rows of U belong to x, the rest to the slack
+    kernel = tuple(
+        tuple(U[i][j] for i in range(m)) for j in range(len(pivots), total)
+    )
     for k in kernel:
-        assert all(
-            sum(A[i][j] * k[j] for j in range(m)) == 0 for i in range(n)
-        ), "kernel vector fails A k = 0"
-    return DiophantineSolution(particular=x, kernel=tuple(kernel))
+        if not satisfies(k, [0] * n):
+            raise ArithmeticError(f"kernel vector {k} fails A k = 0")
+    return DiophantineSolution(particular=x, kernel=kernel)

@@ -88,14 +88,53 @@ def test_auto_inverse_cyclic():
 
 
 def test_auto_inverse_roundtrip():
-    g = AbelianGroup((2, 4, 3))
-    # shear plus unit multiplications, certainly invertible
-    a = endo_validate(g, [(1, 2, 0), (0, 3, 0), (0, 0, 2)])
+    cases = [
+        # shear plus unit multiplications, certainly invertible
+        ((2, 4, 3), [(1, 2, 0), (0, 3, 0), (0, 0, 2)]),
+        # row 1 of B A = 1 also holds for B = [[.., ..], [1, 0]], which is
+        # no homomorphism (2 * 1 != 0 mod 6); the d_j B_kj = 0 rows exclude it
+        ((2, 6), [(0, 3), (1, 1)]),
+    ]
+    for mods, cols in cases:
+        g = AbelianGroup(mods)
+        a = endo_validate(g, cols)
+        inv = auto_inverse(a)
+        assert inv is not None
+        for x in g.elements():
+            assert inv.apply(a.apply(x)) == x
+            assert a.apply(inv.apply(x)) == x
+
+
+def test_auto_inverse_many_factors_beyond_word():
+    mods = (4, 6, 3, 8, 2, 9, 16, 27, 5, 12, 2**40, 10**9 + 7)
+    g = AbelianGroup(mods)
+    m = len(mods)
+    ident = EndoMatrix.identity(g)
+    rng = random.Random(41)
+    pairs = [
+        (i, j) for i in range(m) for j in range(m)
+        if i != j and math.gcd(mods[i], mods[j]) > 1
+    ]
+    a = ident
+    for _ in range(3 * m):
+        # shear e^i -> e^i + c e^j, a homomorphism when d_i c = 0 mod d_j
+        i, j = rng.choice(pairs)
+        step = math.gcd(mods[i], mods[j])
+        c = rng.randrange(1, step) * (mods[j] // step)
+        cols = list(ident.columns)
+        cols[i] = cols[i] + c * g.unit(j)
+        a = EndoMatrix(g, tuple(cols)).compose(a)
+    cols = list(ident.columns)
+    cols[11] = 5 * cols[11]  # a unit mod 10^9 + 7
+    a = EndoMatrix(g, tuple(cols)).compose(a)
     inv = auto_inverse(a)
     assert inv is not None
-    for x in g.elements():
-        assert inv.apply(a.apply(x)) == x
-        assert a.apply(inv.apply(x)) == x
+    assert inv.compose(a).columns == ident.columns
+    assert a.compose(inv).columns == ident.columns
+    # doubling the image of the Z_(2^40) generator loses invertibility
+    cols = list(a.columns)
+    cols[10] = 2 * cols[10]
+    assert auto_inverse(EndoMatrix(g, tuple(cols))) is None
 
 
 def test_orthogonal_subgroup_frozen():

@@ -3,11 +3,26 @@
 import itertools
 import random
 
+import pytest
+
 from normsim.intlinalg import kernel_basis, solve_diophantine
 
 
 def mat_vec(rows, x):
     return [sum(r * v for r, v in zip(row, x)) for row in rows]
+
+
+def satisfies(rows, x, b, moduli=None):
+    """A x = b exactly, or row i mod moduli[i]."""
+    moduli = moduli or [0] * len(rows)
+    return all(
+        (v - bi) % d == 0 if d else v == bi
+        for v, bi, d in zip(mat_vec(rows, x), b, moduli)
+    )
+
+
+def random_moduli(rng, n):
+    return [rng.randint(1, 9) for _ in range(n)]
 
 
 def test_single_equation():
@@ -24,6 +39,12 @@ def test_single_equation():
 def test_infeasible_divisibility():
     assert solve_diophantine([[2]], [1]) is None
     assert solve_diophantine([[4, 6]], [3]) is None
+    # 2x = 1 mod 4 has no solution; 2x = 2 mod 4 leaves x = 1 mod 2
+    assert solve_diophantine([[2]], [1], moduli=[4]) is None
+    sol = solve_diophantine([[2]], [2], moduli=[4])
+    assert sol is not None
+    assert sol.particular[0] % 2 == 1
+    assert [abs(k[0]) for k in sol.kernel] == [2]
 
 
 def test_infeasible_inconsistent_rows():
@@ -54,26 +75,60 @@ def test_wide_and_tall_systems():
 
 
 def test_kernel_members_annihilate():
-    rng = random.Random(3)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
-        for k in kernel_basis(rows):
-            assert mat_vec(rows, k) == [0] * n
+    for seed, congruence in ((3, False), (5, True)):
+        rng = random.Random(seed)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, 4)
+            rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
+            moduli = random_moduli(rng, n) if congruence else None
+            basis = kernel_basis(rows, moduli=moduli)
+            if congruence:
+                # a lattice holding lcm(moduli) * Z^m has full rank
+                assert len(basis) == m
+            for k in basis:
+                assert len(k) == m
+                assert satisfies(rows, k, [0] * n, moduli)
+
+
+def test_modulus_one_row_is_no_constraint():
+    rows = [[3, 5], [0, 2]]
+    sol = solve_diophantine(rows, [7, 1], moduli=[1, 6])
+    assert sol is None  # 2y = 1 mod 6 is unsolvable whatever the first row
+    sol = solve_diophantine(rows, [7, 4], moduli=[1, 6])
+    assert sol is not None
+    assert satisfies(rows, sol.particular, [7, 4], [1, 6])
+    # x is free and y is fixed mod 3
+    for delta in [(1, 0), (0, 3)]:
+        assert in_lattice(sol.kernel, delta)
+    assert not in_lattice(sol.kernel, (0, 1))
+
+
+def test_moduli_must_match_rows_and_be_positive():
+    with pytest.raises(ValueError):
+        solve_diophantine([[1]], [0], moduli=[2, 3])
+    with pytest.raises(ValueError):
+        kernel_basis([[1]], moduli=[0])
 
 
 def test_unconstrained_kernel_spans_everything():
-    basis = kernel_basis([], num_cols=3)
-    assert len(basis) == 3
-    for unit in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        assert in_lattice(basis, unit)
+    for moduli in (None, []):
+        basis = kernel_basis([], num_cols=3, moduli=moduli)
+        assert len(basis) == 3
+        for unit in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+            assert in_lattice(basis, unit)
+        sol = solve_diophantine([], [], num_cols=3, moduli=moduli)
+        assert sol is not None
+        assert sol.particular == (0, 0, 0)
+        assert len(sol.kernel) == 3
+    with pytest.raises(ValueError):
+        kernel_basis([], moduli=[])
 
 
-def brute_solutions(rows, b, m, lo=-8, hi=8):
+def brute_solutions(rows, b, m, lo=-8, hi=8, moduli=None):
     out = set()
     for x in itertools.product(range(lo, hi + 1), repeat=m):
-        if mat_vec(rows, x) == b:
+        if satisfies(rows, x, b, moduli):
             out.add(x)
     return out
 
@@ -93,30 +148,36 @@ def in_lattice(kernel, delta):
 
 
 def test_solution_set_matches_brute_force():
-    rng = random.Random(17)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        x0 = [rng.randint(-2, 2) for _ in range(m)]
-        b = mat_vec(rows, x0)  # feasible by construction
-        sol = solve_diophantine(rows, b)
-        assert sol is not None
-        assert mat_vec(rows, list(sol.particular)) == b
-        for s in brute_solutions(rows, b, m):
-            delta = [si - pi for si, pi in zip(s, sol.particular)]
-            assert in_lattice(sol.kernel, delta)
+    for seed, congruence in ((17, False), (19, True)):
+        rng = random.Random(seed)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 3)
+            rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+            moduli = random_moduli(rng, n) if congruence else None
+            x0 = [rng.randint(-2, 2) for _ in range(m)]
+            b = mat_vec(rows, x0)  # feasible by construction
+            sol = solve_diophantine(rows, b, moduli=moduli)
+            assert sol is not None
+            assert satisfies(rows, sol.particular, b, moduli)
+            for s in brute_solutions(rows, b, m, moduli=moduli):
+                delta = [si - pi for si, pi in zip(s, sol.particular)]
+                assert in_lattice(sol.kernel, delta)
 
 
 def test_none_means_no_solutions_in_box():
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(300):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 2)
-        rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        b = [rng.randint(-6, 6) for _ in range(n)]
-        if solve_diophantine(rows, b) is None:
-            checked += 1
-            assert not brute_solutions(rows, b, m, -12, 12)
-    assert checked > 20
+    # moduli stay below the box width, so a congruence box holds every
+    # residue class and None must mean no solution at all
+    for seed, congruence in ((29, False), (31, True)):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, 2)
+            rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+            moduli = random_moduli(rng, n) if congruence else None
+            b = [rng.randint(-6, 6) for _ in range(n)]
+            if solve_diophantine(rows, b, moduli=moduli) is None:
+                checked += 1
+                assert not brute_solutions(rows, b, m, -12, 12, moduli)
+        assert checked > 20
