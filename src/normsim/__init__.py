@@ -1,75 +1,41 @@
 """Exact classical simulation of normalizer circuits over finite Abelian groups.
 
 The package tracks stabilizer labels through Fourier, automorphism,
-quadratic-phase and Pauli gates with exact integer phase arithmetic,
-reads off the output distribution as a uniform coset, and cross-checks
-everything against a dense state-vector oracle at small group orders.
+quadratic-phase and Pauli gates with exact integer phase arithmetic and
+reads off the output distribution as a uniform coset. The dense
+state-vector oracle that cross-checks the engine at small group orders
+lives in `normsim.oracle`, which is not imported here; every other name
+stays importable from its submodule.
 """
 
 from .circuits import (
     CircuitError,
     CircuitParseError,
     CircuitValidationError,
-    ParsedCircuit,
     parse_circuit,
-    random_instance,
-    serialize_circuit,
 )
 from .engine import (
     AutomorphismGate,
     CosetInput,
+    EngineError,
     FourierGate,
-    Gate,
+    NotInvertible,
     OutputDistribution,
     PauliGate,
     QuadraticGate,
-    init_stabilizer,
     sample_stream,
     simulate,
 )
-from .groups import (
-    AbelianGroup,
-    GroupElement,
-    PhaseExponent,
-    character_eval,
-    character_exponent,
-)
+from .groups import AbelianGroup, BoundExceeded, GroupElement, GroupMismatchError
 from .homs import (
     EndoMatrix,
     InvalidEndomorphism,
     Subgroup,
     auto_inverse,
-    endo_dual,
     endo_validate,
-    orthogonal_subgroup,
-    solve_character_system,
-    subgroup_members,
 )
-from .intlinalg import DiophantineSolution, kernel_basis, solve_diophantine
-from .oracle import (
-    BoundExceeded,
-    PermutationSpec,
-    affine_test,
-    compare_with_engine,
-    eigenvector_check,
-    modexp_permutation,
-)
-from .pauli import (
-    PauliLabel,
-    pauli_apply,
-    pauli_dagger,
-    pauli_label,
-    pauli_mul,
-    pauli_pow,
-)
-from .quadratic import (
-    InvalidQuadratic,
-    QuadraticEncoding,
-    build_quadratic,
-    extract_endo,
-    quad_eval,
-    quad_validate_exhaustive,
-)
+from .pauli import pauli_dagger, pauli_label
+from .quadratic import InvalidQuadratic, QuadraticEncoding, build_quadratic
 
 __version__ = "0.1.0"
 
@@ -81,49 +47,25 @@ __all__ = [
     "CircuitParseError",
     "CircuitValidationError",
     "CosetInput",
-    "DiophantineSolution",
     "EndoMatrix",
+    "EngineError",
     "FourierGate",
-    "Gate",
     "GroupElement",
+    "GroupMismatchError",
     "InvalidEndomorphism",
     "InvalidQuadratic",
+    "NotInvertible",
     "OutputDistribution",
-    "ParsedCircuit",
     "PauliGate",
-    "PauliLabel",
-    "PermutationSpec",
-    "PhaseExponent",
     "QuadraticEncoding",
     "QuadraticGate",
     "Subgroup",
-    "affine_test",
     "auto_inverse",
     "build_quadratic",
-    "character_eval",
-    "character_exponent",
-    "compare_with_engine",
-    "eigenvector_check",
-    "endo_dual",
     "endo_validate",
-    "extract_endo",
-    "init_stabilizer",
-    "kernel_basis",
-    "modexp_permutation",
-    "orthogonal_subgroup",
     "parse_circuit",
-    "pauli_apply",
     "pauli_dagger",
     "pauli_label",
-    "pauli_mul",
-    "pauli_pow",
-    "quad_eval",
-    "quad_validate_exhaustive",
-    "random_instance",
     "sample_stream",
-    "serialize_circuit",
     "simulate",
-    "solve_character_system",
-    "solve_diophantine",
-    "subgroup_members",
 ]

@@ -39,7 +39,6 @@ from .engine import (
 )
 from .groups import AbelianGroup, GroupElement, PhaseExponent
 from .homs import EndoMatrix, InvalidEndomorphism
-from .oracle import PermutationSpec
 from .pauli import PauliLabel
 from .quadratic import (
     InvalidQuadratic,
@@ -91,10 +90,6 @@ def parse_element_literal(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in body.split(","))
 
 
-def format_element(g: GroupElement) -> str:
-    return str(g)
-
-
 def parse_column_list(text: str) -> list[tuple[int, ...]]:
     """Residue tuples from a "[(1,2),(0,1)]" literal."""
     raw = text.strip()
@@ -141,9 +136,10 @@ def _split_element_list(body: str, line_no: int, what: str) -> list[tuple[int, .
     return out
 
 
-def _element_for(
+def checked_element(
     group: AbelianGroup, residues: Sequence[int], line_no: int, what: str
 ) -> GroupElement:
+    """The element with these residues, or a line-numbered validation error."""
     if len(residues) != group.num_factors:
         raise CircuitValidationError(
             line_no,
@@ -211,10 +207,10 @@ def parse_circuit(text: str) -> ParsedCircuit:
             if not m:
                 raise CircuitParseError(line_no, "malformed state declaration")
             gens = [
-                _element_for(group, res, line_no, "coset generator")
+                checked_element(group, res, line_no, "coset generator")
                 for res in _split_element_list(m.group("gens"), line_no, "gens")
             ]
-            shift = _element_for(
+            shift = checked_element(
                 group,
                 parse_element_literal(m.group("shift")),
                 line_no,
@@ -255,7 +251,7 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
     m = _AUTO_RE.fullmatch(line)
     if m:
         cols = [
-            _element_for(group, res, line_no, "matrix column")
+            checked_element(group, res, line_no, "matrix column")
             for res in _split_element_list(m.group("cols"), line_no, "cols")
         ]
         if len(cols) != group.num_factors:
@@ -300,10 +296,10 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
         return QuadraticGate(encoding)
     m = _PAULI_RE.fullmatch(line)
     if m:
-        z = _element_for(
+        z = checked_element(
             group, parse_element_literal(m.group("z")), line_no, "z part"
         )
-        x = _element_for(
+        x = checked_element(
             group, parse_element_literal(m.group("x")), line_no, "x part"
         )
         return PauliGate(
@@ -339,42 +335,6 @@ def serialize_gate(gate: Gate) -> str:
         lab = gate.label
         return f"gate: pauli a={lab.phase.value} z={lab.z_part} x={lab.x_part}"
     raise TypeError(f"unknown gate {gate!r}")
-
-
-def parse_permutation_table(group: AbelianGroup, text: str) -> PermutationSpec:
-    """Permutation table file: one `(g) -> (h)` line per element."""
-    mapping: dict[GroupElement, GroupElement] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("->")
-        if len(parts) != 2:
-            raise CircuitParseError(line_no, "expected `(g) -> (h)`")
-        try:
-            src = _element_for(
-                group, parse_element_literal(parts[0]), line_no, "source"
-            )
-            dst = _element_for(
-                group, parse_element_literal(parts[1]), line_no, "image"
-            )
-        except ValueError as err:
-            if isinstance(err, CircuitError):
-                raise
-            raise CircuitParseError(line_no, str(err)) from None
-        if src in mapping:
-            raise CircuitValidationError(line_no, f"duplicate source {src}")
-        mapping[src] = dst
-    if len(mapping) != group.order:
-        raise CircuitValidationError(
-            0, f"table covers {len(mapping)} of {group.order} elements"
-        )
-    try:
-        return PermutationSpec(
-            group, tuple(mapping[g] for g in group.elements())
-        )
-    except ValueError as err:
-        raise CircuitValidationError(0, str(err)) from None
 
 
 def _random_valid_endo(rng: random.Random, group: AbelianGroup) -> EndoMatrix:

@@ -10,24 +10,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .affine import affine_test, modexp_permutation, parse_permutation_table
 from .circuits import (
     CircuitError,
     ParsedCircuit,
     parse_circuit,
     parse_column_list,
-    parse_permutation_table,
     random_instance,
     serialize_gate,
 )
 from .engine import QuadraticGate, sample_stream, simulate
-from .groups import AbelianGroup
+from .groups import DENSE_BOUND, ENUM_BOUND, AbelianGroup, BoundExceeded
 from .homs import EndoMatrix, InvalidEndomorphism
-from .oracle import (
-    BoundExceeded,
-    affine_test,
-    compare_with_engine,
-    modexp_permutation,
-)
 from .quadratic import InvalidQuadratic, build_quadratic
 
 EXIT_OK = 0
@@ -64,7 +58,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="compare against the dense oracle")
     p.add_argument("file")
-    p.add_argument("--bound", type=int, default=4096)
+    p.add_argument(
+        "--bound",
+        type=int,
+        default=DENSE_BOUND,
+        help=f"largest group order to build densely (default {DENSE_BOUND}; "
+        f"never above {ENUM_BOUND})",
+    )
 
     p = sub.add_parser("affine-test", help="test a permutation for affineness")
     p.add_argument("--group", type=int, nargs="+", metavar="D")
@@ -130,6 +130,9 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # the dense oracle is the only numpy user; other commands never load it
+    from .oracle import compare_with_engine
+
     circuit = _load_circuit(args.file)
     try:
         report = compare_with_engine(circuit.coset, circuit.gates, bound=args.bound)

@@ -32,7 +32,7 @@ from .homs import (
 )
 from .intlinalg import kernel_basis
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
-from .quadratic import BilinearEndo, QuadraticEncoding, extract_endo, quad_eval
+from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
 
 class EngineError(RuntimeError):
@@ -133,7 +133,7 @@ class QuadraticGate:
         return self.encoding.group
 
     @property
-    def endo(self) -> BilinearEndo:
+    def endo(self) -> EndoMatrix:
         return self._endo
 
     def conjugate(self, label: PauliLabel) -> PauliLabel:
@@ -142,7 +142,7 @@ class QuadraticGate:
         # k-dependence chi_{w(k)}(h) as chi_{w(h)}(k) overshoots by
         # B(h,h) once, which the phase repays.
         h = label.x_part
-        w_h = self._endo.matrix.apply(h)
+        w_h = self._endo.apply(h)
         a = (
             label.phase.value
             + quad_eval(self.encoding, h).value

@@ -3,7 +3,8 @@
 A group is an ordered tuple of cyclic moduli and an element is a tuple
 of residues. Every phase used by the simulator is an integer power of
 gamma = exp(i*pi/order), so phases are tracked as exact integers modulo
-2*order; floating point never enters the core arithmetic.
+2*order. No floating point lives in the core: complex numbers and state
+vectors appear only in the dense verifier, `normsim.oracle`.
 """
 
 from __future__ import annotations
@@ -13,12 +14,29 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
-# Default ceiling for test utilities that enumerate the whole group.
+# Hard ceiling for anything that enumerates the whole group; a larger
+# requested bound does not lift it.
 ENUM_BOUND = 1 << 20
+# Default group-order cap for dense verification and exhaustive checks.
+DENSE_BOUND = 4096
 
 
 class GroupMismatchError(ValueError):
     """Operands belong to different groups."""
+
+
+class BoundExceeded(ValueError):
+    """Group order too large to enumerate."""
+
+
+def check_bound(group: AbelianGroup, bound: int):
+    """Refuse a group of order above min(bound, ENUM_BOUND)."""
+    limit = min(bound, ENUM_BOUND)
+    if group.order > limit:
+        capped = "" if limit == bound else f" (the requested {bound} is capped)"
+        raise BoundExceeded(
+            f"group order {group.order} exceeds bound {limit}{capped}"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,13 +105,6 @@ class AbelianGroup:
         for d, r in zip(self.moduli, g.residues):
             idx = idx * d + r
         return idx
-
-    def element_at(self, index: int) -> GroupElement:
-        res = []
-        for d in reversed(self.moduli):
-            res.append(index % d)
-            index //= d
-        return GroupElement(self, tuple(reversed(res)))
 
     def __str__(self):
         return "x".join(f"Z{d}" for d in self.moduli)
@@ -165,8 +176,7 @@ class PhaseExponent:
     """An exact phase gamma^value with gamma = exp(i*pi/order).
 
     The exponent is reduced modulo 2*order; multiplying phases adds
-    exponents. This is the only place a complex number is ever produced,
-    and only on explicit request.
+    exponents.
     """
 
     group: AbelianGroup
@@ -185,19 +195,6 @@ class PhaseExponent:
 
     def __sub__(self, other: PhaseExponent) -> PhaseExponent:
         return self + (-other)
-
-    def times(self, n: int) -> PhaseExponent:
-        return PhaseExponent(self.group, n * self.value)
-
-    @property
-    def is_even(self) -> bool:
-        return self.value % 2 == 0
-
-    def to_complex(self) -> complex:
-        """Float bridge for the dense verifier; not used by the core."""
-        import cmath
-
-        return cmath.exp(1j * cmath.pi * self.value / self.group.order)
 
 
 def character_exponent(g: GroupElement, h: GroupElement) -> int:
@@ -218,24 +215,3 @@ def character_exponent(g: GroupElement, h: GroupElement) -> int:
 def character_eval(g: GroupElement, h: GroupElement) -> PhaseExponent:
     """The character chi_g evaluated at h, as an exact phase."""
     return PhaseExponent(g.group, character_exponent(g, h))
-
-
-def character_sum_is_zero(g: GroupElement, bound: int = ENUM_BOUND) -> bool:
-    """Decide exactly whether sum over h of chi_g(h) vanishes.
-
-    Test utility with an enumeration bound. The sum factors over the
-    cyclic coordinates; coordinate i contributes the multiset of roots
-    exp(2*pi*i * (g_i*k mod d_i) / d_i) for k = 0..d_i-1, which covers a
-    cyclic subgroup of the d_i-th roots of unity with uniform
-    multiplicity. A full set of t-th roots of unity sums to zero exactly
-    when t > 1 (sum of roots of x^t - 1), so the product vanishes iff
-    some coordinate's support has more than one point.
-    """
-    group = g.group
-    if group.order > bound:
-        raise ValueError(f"group order {group.order} exceeds bound {bound}")
-    for d, gi in zip(group.moduli, g.residues):
-        support = {gi * k % d for k in range(d)}
-        if len(support) > 1:
-            return True
-    return False

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import ENUM_BOUND, AbelianGroup, GroupElement
+from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_bound
 from .intlinalg import kernel_basis, solve_diophantine
 
 
@@ -77,14 +77,6 @@ def endo_validate(group: AbelianGroup, columns: Sequence[Sequence[int]]) -> Endo
     """
     elems = tuple(group.element(c) for c in columns)
     return EndoMatrix(group, elems)
-
-
-def endo_is_valid(group: AbelianGroup, columns: Sequence[Sequence[int]]) -> bool:
-    try:
-        endo_validate(group, columns)
-    except (InvalidEndomorphism, ValueError):
-        return False
-    return True
 
 
 def endo_dual(A: EndoMatrix) -> EndoMatrix:
@@ -215,8 +207,7 @@ def subgroup_members(
 ) -> frozenset[GroupElement]:
     """Exhaustive closure of the generating set (test utility)."""
     group = H.group
-    if group.order > bound:
-        raise ValueError(f"group order {group.order} exceeds bound {bound}")
+    check_bound(group, bound)
     members = {group.zero()}
     frontier = [group.zero()]
     while frontier:

@@ -7,18 +7,16 @@ exact engine is judged against tolerances. The exactness claims live in
 the engine; this module only needs to discriminate at small orders,
 where support probabilities are at least 1/order, far above tolerance.
 
-Also home to the affine-permutation tester: a permutation F of the
-group either equals g -> alpha(g) + t for an automorphism alpha (and
-the tester reconstructs alpha and t), or a concrete counterexample
-element is produced. Modular exponentiation permutations are built in
-as a parametrized family because they are the canonical non-affine
-case.
+This is the only module that imports numpy, and no other module imports
+it at load time: the CLI loads it inside `verify` only. Every state,
+matrix and comparison refuses groups above min(bound, ENUM_BOUND), so a
+large bound cannot ask for an unbounded state vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,31 +31,19 @@ from .engine import (
     init_stabilizer,
     simulate,
 )
-from .groups import AbelianGroup, GroupElement, character_exponent
-from .homs import (
-    EndoMatrix,
-    InvalidEndomorphism,
-    Subgroup,
-    auto_inverse,
-    subgroup_members,
+from .groups import (
+    DENSE_BOUND,
+    ENUM_BOUND,
+    AbelianGroup,
+    GroupElement,
+    check_bound,
 )
-from .pauli import PauliLabel
+from .homs import Subgroup, subgroup_members
+from .pauli import PauliLabel, pauli_apply
 from .quadratic import quad_eval
 
-DENSE_BOUND = 4096
 TOL = 1e-9
 NORM_TOL = 1e-12
-
-
-class BoundExceeded(ValueError):
-    """Group order too large for dense verification."""
-
-
-def _check_bound(group: AbelianGroup, bound: int):
-    if group.order > bound:
-        raise BoundExceeded(
-            f"group order {group.order} exceeds dense bound {bound}"
-        )
 
 
 def _gamma_power(group: AbelianGroup, a: int) -> complex:
@@ -74,7 +60,7 @@ class DenseState:
 
 
 def coset_state(coset: CosetInput, bound: int = DENSE_BOUND) -> DenseState:
-    _check_bound(coset.group, bound)
+    check_bound(coset.group, bound)
     group = coset.group
     members = subgroup_members(Subgroup(group, coset.generators), bound)
     vec = np.zeros(group.order, dtype=np.complex128)
@@ -85,6 +71,7 @@ def coset_state(coset: CosetInput, bound: int = DENSE_BOUND) -> DenseState:
 
 
 def basis_state(group: AbelianGroup, g: GroupElement) -> DenseState:
+    check_bound(group, ENUM_BOUND)
     vec = np.zeros(group.order, dtype=np.complex128)
     vec[group.index_of(g)] = 1.0
     return DenseState(group, vec)
@@ -132,11 +119,9 @@ def apply_pauli(state: DenseState, label: PauliLabel) -> DenseState:
     group = state.group
     out = np.zeros_like(state.vector)
     for k in group.elements():
-        target = k + label.x_part
-        a = label.phase.value + character_exponent(label.z_part, target)
-        out[group.index_of(target)] += _gamma_power(group, a) * state.vector[
-            group.index_of(k)
-        ]
+        phase, target = pauli_apply(label, k)
+        amp = state.vector[group.index_of(k)]
+        out[group.index_of(target)] += _gamma_power(group, phase.value) * amp
     return DenseState(group, out)
 
 
@@ -151,21 +136,11 @@ def apply_circuit(
 def gate_matrix(gate: Gate, bound: int = DENSE_BOUND) -> np.ndarray:
     """Explicit unitary, one basis column at a time."""
     group = gate.group
-    _check_bound(group, bound)
+    check_bound(group, bound)
     n = group.order
     mat = np.zeros((n, n), dtype=np.complex128)
     for j, g in enumerate(group.elements()):
         mat[:, j] = apply_gate(basis_state(group, g), gate).vector
-    return mat
-
-
-def pauli_matrix(label: PauliLabel, bound: int = DENSE_BOUND) -> np.ndarray:
-    group = label.group
-    _check_bound(group, bound)
-    n = group.order
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j, g in enumerate(group.elements()):
-        mat[:, j] = apply_pauli(basis_state(group, g), label).vector
     return mat
 
 
@@ -204,7 +179,7 @@ def compare_with_engine(
 ) -> VerifyReport:
     """Engine support and uniformity versus the dense state, at small order."""
     group = coset.group
-    _check_bound(group, bound)
+    check_bound(group, bound)
     dist = simulate(coset, gates)
     state = apply_circuit(coset_state(coset, bound), gates)
     probs = dense_distribution(state)
@@ -236,7 +211,7 @@ def eigenvector_check(
     Passing explicit labels overrides the engine-computed conjugation
     (useful as a negative control).
     """
-    _check_bound(coset.group, bound)
+    check_bound(coset.group, bound)
     if labels is None:
         labels = conjugate_circuit(init_stabilizer(coset), gates)
     state = apply_circuit(coset_state(coset, bound), gates)
@@ -246,96 +221,3 @@ def eigenvector_check(
             return False
     return True
 
-
-@dataclass(frozen=True)
-class PermutationSpec:
-    """An explicit bijection of the group, stored by element index."""
-
-    group: AbelianGroup
-    images: tuple[GroupElement, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.group.order:
-            raise ValueError("permutation table has wrong size")
-        if len(set(self.images)) != self.group.order:
-            raise ValueError("permutation table is not a bijection")
-
-    def apply(self, g: GroupElement) -> GroupElement:
-        return self.images[self.group.index_of(g)]
-
-    @classmethod
-    def from_callable(
-        cls,
-        group: AbelianGroup,
-        fn: Callable[[GroupElement], GroupElement],
-        bound: int = DENSE_BOUND,
-    ) -> PermutationSpec:
-        _check_bound(group, bound)
-        return cls(group, tuple(fn(g) for g in group.elements()))
-
-
-def modexp_permutation(a: int, m: int, n: int) -> PermutationSpec:
-    """(x, y) -> (x, y + a^x mod n) on Z_{2^m} x Z_n."""
-    group = AbelianGroup((2**m, n))
-
-    def fn(g: GroupElement) -> GroupElement:
-        x, y = g.residues
-        return group.element((x, y + pow(a, x, n)))
-
-    return PermutationSpec.from_callable(group, fn)
-
-
-@dataclass(frozen=True)
-class AffineTestResult:
-    is_affine: bool
-    matrix: EndoMatrix | None = None
-    shift: GroupElement | None = None
-    witness: GroupElement | None = None
-    detail: str = ""
-
-    def __str__(self):
-        if self.is_affine:
-            cols = " ".join(str(c) for c in self.matrix.columns)
-            return f"affine cols=[{cols}] shift={self.shift}"
-        return f"not_affine witness={self.witness} ({self.detail})"
-
-
-def affine_test(spec: PermutationSpec, bound: int = DENSE_BOUND) -> AffineTestResult:
-    """Decide whether F(g) = alpha(g) + t for some automorphism alpha.
-
-    The only candidates are t = F(0) and alpha(e^i) = F(e^i) - t. If
-    those columns are not a homomorphism, some unit increment of F is
-    inconsistent and the element where that happens is the witness;
-    otherwise F is compared against the candidate everywhere.
-    """
-    _check_bound(spec.group, bound)
-    group = spec.group
-    t = spec.apply(group.zero())
-    cols = tuple(spec.apply(e) - t for e in group.units())
-    try:
-        candidate = EndoMatrix(group, cols)
-    except InvalidEndomorphism as err:
-        i = err.column
-        for g in group.elements():
-            if spec.apply(g + group.unit(i)) - spec.apply(g) != cols[i]:
-                return AffineTestResult(
-                    is_affine=False,
-                    witness=g,
-                    detail=(
-                        f"increment by e^{i} at {g} breaks the candidate "
-                        f"column {cols[i]}"
-                    ),
-                )
-        raise AssertionError(
-            "invalid columns but all increments consistent"
-        )  # mathematically unreachable
-    for g in group.elements():
-        if spec.apply(g) != candidate.apply(g) + t:
-            return AffineTestResult(
-                is_affine=False,
-                witness=g,
-                detail=f"F({g}) = {spec.apply(g)} but candidate gives "
-                f"{candidate.apply(g) + t}",
-            )
-    assert auto_inverse(candidate) is not None, "bijection forces invertibility"
-    return AffineTestResult(is_affine=True, matrix=candidate, shift=t)

@@ -90,9 +90,3 @@ def pauli_apply(
     a = s.phase.value + character_exponent(s.z_part, target)
     return PhaseExponent(s.group, a), target
 
-
-def commute_exponent(s: PauliLabel, t: PauliLabel) -> int:
-    """Exponent c with s t = gamma^c t s; zero iff the pair commutes."""
-    st = pauli_mul(s, t)
-    ts = pauli_mul(t, s)
-    return (st.phase.value - ts.phase.value) % s.group.phase_modulus

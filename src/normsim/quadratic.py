@@ -29,7 +29,14 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from math import gcd
 
-from .groups import AbelianGroup, GroupElement, PhaseExponent, character_exponent
+from .groups import (
+    DENSE_BOUND,
+    AbelianGroup,
+    GroupElement,
+    PhaseExponent,
+    character_exponent,
+    check_bound,
+)
 from .homs import EndoMatrix, InvalidEndomorphism
 
 
@@ -111,17 +118,7 @@ def quad_eval(xi: QuadraticEncoding, g: GroupElement) -> PhaseExponent:
     return PhaseExponent(xi.group, total)
 
 
-@dataclass(frozen=True)
-class BilinearEndo:
-    """The endomorphism behind a bilinear form: B(g,h) = chi_{map(g)}(h)."""
-
-    matrix: EndoMatrix
-
-    def exponent(self, g: GroupElement, h: GroupElement) -> int:
-        return character_exponent(self.matrix.apply(g), h)
-
-
-def extract_endo(xi: QuadraticEncoding) -> BilinearEndo:
+def extract_endo(xi: QuadraticEncoding) -> EndoMatrix:
     """The unique endomorphism w with B(g,h) = chi_{w(g)}(h).
 
     Column k row l: b_kl = (2*order/d_l) * A_lk, so A_lk is recovered by
@@ -144,10 +141,10 @@ def extract_endo(xi: QuadraticEncoding) -> BilinearEndo:
                 )
             col.append(b // u)
         cols.append(group.element(col))
-    return BilinearEndo(EndoMatrix(group, tuple(cols)))
+    return EndoMatrix(group, tuple(cols))
 
 
-def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = 4096) -> bool:
+def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = DENSE_BOUND) -> bool:
     """Check xi(g+h) = xi(g) xi(h) B(g,h) over all pairs (test utility).
 
     Returns False when the encoding does not even determine a bilinear
@@ -155,8 +152,7 @@ def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = 4096) -> bool:
     validate=False).
     """
     group = xi.group
-    if group.order > bound:
-        raise ValueError(f"group order {group.order} exceeds bound {bound}")
+    check_bound(group, bound)
     try:
         endo = extract_endo(xi)
     except (InvalidQuadratic, InvalidEndomorphism):
@@ -167,27 +163,12 @@ def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = 4096) -> bool:
     for g in elems:
         for h in elems:
             lhs = values[g + h]
-            rhs = (values[g] + values[h] + endo.exponent(g, h)) % L
+            rhs = (
+                values[g] + values[h] + character_exponent(endo.apply(g), h)
+            ) % L
             if lhs != rhs:
                 return False
     return True
-
-
-def quad_product(a: QuadraticEncoding, b: QuadraticEncoding) -> QuadraticEncoding:
-    """Pointwise product; quadratic functions are closed under it."""
-    if a.group != b.group:
-        raise ValueError("encodings over different groups")
-    return QuadraticEncoding(
-        a.group,
-        tuple(x + y for x, y in zip(a.n_diag, b.n_diag)),
-        tuple(x + y for x, y in zip(a.n_pair, b.n_pair)),
-        tuple(x + y for x, y in zip(a.n_double, b.n_double)),
-    )
-
-
-def quad_trivial(group: AbelianGroup) -> QuadraticEncoding:
-    m = group.num_factors
-    return QuadraticEncoding(group, (0,) * m, (0,) * (m * (m - 1) // 2), (0,) * m)
 
 
 def _embed_single(group: AbelianGroup, factor: int, n1: int, n2: int) -> QuadraticEncoding:

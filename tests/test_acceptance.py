@@ -13,6 +13,8 @@ from collections import Counter
 
 import numpy as np
 
+from helpers import element_at, quad_product, quad_trivial, to_complex
+from normsim.affine import PermutationSpec, affine_test, modexp_permutation
 from normsim.circuits import parse_circuit, random_instance
 from normsim.engine import (
     AutomorphismGate,
@@ -33,15 +35,11 @@ from normsim.homs import (
 )
 from normsim.intlinalg import solve_diophantine
 from normsim.oracle import (
-    PermutationSpec,
-    affine_test,
     apply_circuit,
     coset_state,
     compare_with_engine,
     eigenvector_check,
     gate_matrix,
-    modexp_permutation,
-    pauli_matrix,
 )
 from normsim.pauli import (
     pauli_dagger,
@@ -58,9 +56,7 @@ from normsim.quadratic import (
     quad_eval,
     quad_from_endo,
     quad_half,
-    quad_product,
     quad_square,
-    quad_trivial,
     quad_validate_exhaustive,
     triangle,
 )
@@ -176,12 +172,12 @@ def test_03_pauli_label_arithmetic_matches_dense():
     while pairs_done < 500:
         g = groups[pairs_done % len(groups)]
         s, t = rand_pauli(g, rng), rand_pauli(g, rng)
-        ms, mt = pauli_matrix(s), pauli_matrix(t)
-        assert np.max(np.abs(pauli_matrix(pauli_mul(s, t)) - ms @ mt)) < TOL
+        ms, mt = gate_matrix(PauliGate(s)), gate_matrix(PauliGate(t))
+        assert np.max(np.abs(gate_matrix(PauliGate(pauli_mul(s, t))) - ms @ mt)) < TOL
         n = rng.randrange(-3, 6)
         dense_pow = np.linalg.matrix_power(ms, n)
-        assert np.max(np.abs(pauli_matrix(pauli_pow(s, n)) - dense_pow)) < TOL
-        assert np.max(np.abs(pauli_matrix(pauli_dagger(s)) - ms.conj().T)) < TOL
+        assert np.max(np.abs(gate_matrix(PauliGate(pauli_pow(s, n))) - dense_pow)) < TOL
+        assert np.max(np.abs(gate_matrix(PauliGate(pauli_dagger(s))) - ms.conj().T)) < TOL
         # label-level identities hold exactly
         assert pauli_dagger(s) == pauli_pow(s, g.phase_modulus - 1)
         assert pauli_mul(s, pauli_dagger(s)) == pauli_identity(g)
@@ -257,8 +253,8 @@ def test_04_gate_conjugation_matches_dense():
         for gate in gate_variants(group, rng):
             u = gate_matrix(gate)
             for s in sigmas:
-                lhs = u @ pauli_matrix(s) @ u.conj().T
-                rhs = pauli_matrix(gate.conjugate(s))
+                lhs = u @ gate_matrix(PauliGate(s)) @ u.conj().T
+                rhs = gate_matrix(PauliGate(gate.conjugate(s)))
                 assert np.max(np.abs(lhs - rhs)) < TOL, (
                     f"{group}: {type(gate).__name__} on {s}"
                 )
@@ -448,14 +444,14 @@ def test_07_quadratic_function_laws():
         w = extract_endo(xi)
         mod = g.phase_modulus
         lhs = quad_eval(xi, n * a).value
-        rhs = (n * quad_eval(xi, a).value + triangle(n) * w.exponent(a, a)) % mod
+        rhs = (n * quad_eval(xi, a).value + triangle(n) * character_exponent(w.apply(a), a)) % mod
         assert lhs == rhs
         # numeric value really is a 2*order-th root of unity
-        val = quad_eval(xi, a).to_complex()
+        val = to_complex(quad_eval(xi, a))
         assert abs(val ** mod - 1) < TOL
         b = rand_element(g, rng)
         assert quad_eval(xi, a + b).value == (
-            quad_eval(xi, a).value + quad_eval(xi, b).value + w.exponent(a, b)
+            quad_eval(xi, a).value + quad_eval(xi, b).value + character_exponent(w.apply(a), b)
         ) % mod
 
 
@@ -532,7 +528,7 @@ def test_09_output_states_are_uniform_coset_supported():
         support = np.flatnonzero(mags > NORM_TOL)
         assert len(support) > 0
         assert mags[support].max() - mags[support].min() < TOL
-        members = {circ.group.element_at(int(i)) for i in support}
+        members = {element_at(circ.group, int(i)) for i in support}
         # subtracting one member gives a set closed under subtraction
         base = next(iter(members))
         diffs = {x - base for x in members}

@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from normsim.affine import parse_permutation_table
 from normsim.circuits import (
     CircuitParseError,
     CircuitValidationError,
-    format_element,
     parse_circuit,
     parse_column_list,
     parse_element_literal,
-    parse_permutation_table,
     random_instance,
     serialize_circuit,
 )
@@ -121,7 +120,7 @@ def test_element_literals():
     with pytest.raises(ValueError):
         parse_element_literal("1,2")
     g = AbelianGroup((2, 4))
-    assert format_element(g.element((1, 3))) == "(1,3)"
+    assert str(g.element((1, 3))) == "(1,3)"
     assert parse_column_list("[(1,0), (0,1)]") == [(1, 0), (0, 1)]
 
 

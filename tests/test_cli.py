@@ -1,7 +1,14 @@
 """Command-line entry points and exit codes."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import normsim
 from normsim.cli import main
 
 BELL = """\
@@ -46,6 +53,44 @@ def test_verify_pass(bell_file, capsys):
 
 def test_verify_bound_exceeded(bell_file, capsys):
     assert main(["verify", bell_file, "--bound", "2"]) == 2
+
+
+def test_verify_bound_cannot_lift_enum_ceiling(tmp_path, capsys):
+    # a 2^30-element dense vector would take 16 GiB; the ceiling refuses it
+    f = tmp_path / "big.nc"
+    f.write_text(
+        "group: 1073741824\nstate: coset gens=[] shift=(0)\n"
+        "gate: qft targets=[1]\n"
+    )
+    assert main(["verify", str(f), "--bound", "1099511627776"]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds bound 1048576" in err and "1099511627776" in err
+
+
+def test_only_verify_loads_numpy(bell_file):
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import normsim
+        from normsim.cli import main
+        assert main(["support", {bell_file!r}]) == 0
+        assert main(["simulate", {bell_file!r}, "--shots", "3"]) == 0
+        assert main(["affine-test", "--perm", "modexp:2,2,15"]) == 0
+        assert "numpy" not in sys.modules, "numpy loaded before verify"
+        assert main(["verify", {bell_file!r}]) == 0
+        assert "numpy" in sys.modules
+        """
+    )
+    src = str(Path(normsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_affine_test_modexp(capsys):

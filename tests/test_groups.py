@@ -6,14 +6,36 @@ import random
 
 import pytest
 
+from helpers import element_at, to_complex
 from normsim.groups import (
+    ENUM_BOUND,
     AbelianGroup,
+    BoundExceeded,
     GroupMismatchError,
     PhaseExponent,
     character_eval,
     character_exponent,
-    character_sum_is_zero,
+    check_bound,
 )
+
+
+def character_sum_is_zero(g, bound=ENUM_BOUND):
+    """Decide exactly whether sum over h of chi_g(h) vanishes.
+
+    The sum factors over the cyclic coordinates; coordinate i
+    contributes the multiset of roots exp(2*pi*i * (g_i*k mod d_i) / d_i)
+    for k = 0..d_i-1, which covers a cyclic subgroup of the d_i-th roots
+    of unity with uniform multiplicity. A full set of t-th roots of
+    unity sums to zero exactly when t > 1 (sum of roots of x^t - 1), so
+    the product vanishes iff some coordinate's support has more than one
+    point.
+    """
+    check_bound(g.group, bound)
+    for d, gi in zip(g.group.moduli, g.residues):
+        support = {gi * k % d for k in range(d)}
+        if len(support) > 1:
+            return True
+    return False
 
 
 def test_group_basic_attributes():
@@ -71,7 +93,7 @@ def test_enumeration_order_and_indexing():
     assert elems[3].residues == (1, 0)
     for i, e in enumerate(elems):
         assert g.index_of(e) == i
-        assert g.element_at(i) == e
+        assert element_at(g, i) == e
 
 
 def test_character_exponent_frozen_values():
@@ -120,7 +142,7 @@ def test_character_eval_matches_numeric():
                 * math.pi
                 * sum(ai * bi / d for ai, bi, d in zip(a.residues, b.residues, g.moduli))
             )
-            assert abs(character_eval(a, b).to_complex() - want) < 1e-12
+            assert abs(to_complex(character_eval(a, b)) - want) < 1e-12
 
 
 def test_phase_exponent_cyclic():
@@ -130,10 +152,10 @@ def test_phase_exponent_cyclic():
     assert (p + q).value == 1
     assert (p - q).value == 1
     assert (-p).value == 1
-    assert p.times(3).value == 1
+    assert (3 * p.value) % g.phase_modulus == 1
     assert PhaseExponent(g, 7).value == 3
-    assert q.is_even and not p.is_even
-    assert abs(p.to_complex() - cmath.exp(1j * math.pi * 3 / 2)) < 1e-12
+    assert q.value % 2 == 0 and p.value % 2 != 0
+    assert abs(to_complex(p) - cmath.exp(1j * math.pi * 3 / 2)) < 1e-12
 
 
 def test_character_orthogonality():
@@ -141,10 +163,21 @@ def test_character_orthogonality():
     for mods in [(2,), (4,), (6,), (2, 3), (2, 4), (3, 3)]:
         g = AbelianGroup(mods)
         for a in g.elements():
-            total = sum(character_eval(a, h).to_complex() for h in g.elements())
+            total = sum(to_complex(character_eval(a, h)) for h in g.elements())
             if a.is_zero:
                 assert abs(total - g.order) < 1e-9
                 assert not character_sum_is_zero(a)
             else:
                 assert abs(total) < 1e-9
                 assert character_sum_is_zero(a)
+
+
+def test_check_bound_caps_at_enum_bound():
+    check_bound(AbelianGroup((64, 64)), 4096)
+    with pytest.raises(BoundExceeded, match="exceeds bound 4096"):
+        check_bound(AbelianGroup((64, 65)), 4096)
+    # a larger requested bound does not lift the enumeration ceiling
+    big = AbelianGroup((2**30,))
+    with pytest.raises(BoundExceeded, match=f"exceeds bound {ENUM_BOUND}"):
+        check_bound(big, 2**40)
+    assert issubclass(BoundExceeded, ValueError)

@@ -12,13 +12,20 @@ from normsim.homs import (
     Subgroup,
     auto_inverse,
     endo_dual,
-    endo_is_valid,
     endo_validate,
     orthogonal_subgroup,
     solve_character_system,
     subgroup_contains,
     subgroup_members,
 )
+
+
+def endo_is_valid(group, columns):
+    try:
+        endo_validate(group, columns)
+    except (InvalidEndomorphism, ValueError):
+        return False
+    return True
 
 
 def test_column_validity():

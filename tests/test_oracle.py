@@ -6,13 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from normsim.affine import PermutationSpec, affine_test, modexp_permutation
 from normsim.engine import CosetInput, FourierGate, PauliGate, QuadraticGate
-from normsim.groups import AbelianGroup
+from normsim.groups import AbelianGroup, BoundExceeded
 from normsim.homs import endo_validate
 from normsim.oracle import (
-    BoundExceeded,
-    PermutationSpec,
-    affine_test,
     apply_circuit,
     apply_gate,
     basis_state,
@@ -21,8 +19,6 @@ from normsim.oracle import (
     dense_distribution,
     eigenvector_check,
     gate_matrix,
-    modexp_permutation,
-    pauli_matrix,
 )
 from normsim.pauli import pauli_label
 from normsim.quadratic import quad_cross
@@ -120,6 +116,11 @@ def test_bound_exceeded():
     z8 = AbelianGroup((8,))
     with pytest.raises(BoundExceeded):
         compare_with_engine(coset(z8, [], (0,)), [], bound=4)
+    huge = AbelianGroup((2**21,))  # above ENUM_BOUND, whatever bound is asked
+    with pytest.raises(BoundExceeded):
+        basis_state(huge, huge.zero())
+    with pytest.raises(BoundExceeded):
+        coset_state(coset(huge, [], (0,)), bound=2**40)
 
 
 def test_permutation_spec_validation():
@@ -184,7 +185,7 @@ def test_affine_test_rejects_nonaffine_bijection():
 
 def test_pauli_matrix_monomial():
     g = AbelianGroup((2, 2))
-    m = pauli_matrix(pauli_label(g, 1, [1, 0], [0, 1]))
+    m = gate_matrix(PauliGate(pauli_label(g, 1, [1, 0], [0, 1])))
     # exactly one nonzero per column, all magnitude 1
     for col in range(g.order):
         nz = np.flatnonzero(np.abs(m[:, col]) > 1e-12)
