@@ -31,6 +31,7 @@ from .homs import (
     subgroup_members,
 )
 from .intlinalg import kernel_basis
+# pauli_dagger has no caller here; perfbench's tracer wraps it in this namespace
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
@@ -132,10 +133,6 @@ class QuadraticGate:
     def group(self) -> AbelianGroup:
         return self.encoding.group
 
-    @property
-    def endo(self) -> EndoMatrix:
-        return self._endo
-
     def conjugate(self, label: PauliLabel) -> PauliLabel:
         # X(h) picks up xi(h) and a Z(w(h)) tail; pulling the new Z next
         # to the old one is free (diagonals commute), but expressing the
@@ -164,7 +161,14 @@ class PauliGate:
         return self.label.group
 
     def conjugate(self, label: PauliLabel) -> PauliLabel:
-        return pauli_mul(pauli_mul(self.label, label), pauli_dagger(self.label))
+        # For P ~ Z(g) X(h): P Z(z) X(x) P^dagger = chi_g(x) chi_z(-h) Z(z) X(x),
+        # so only the phase moves.
+        a = (
+            label.phase.value
+            + character_exponent(self.label.z_part, label.x_part)
+            - character_exponent(label.z_part, self.label.x_part)
+        )
+        return PauliLabel(PhaseExponent(self.group, a), label.z_part, label.x_part)
 
 
 Gate = FourierGate | AutomorphismGate | QuadraticGate | PauliGate
@@ -233,10 +237,13 @@ class OutputDistribution:
 
     def sample(self, rng: random.Random) -> GroupElement:
         # randrange is exact rejection sampling, unbiased for any order
-        out = self.offset
+        order = self.group.order
+        acc = list(self.offset.residues)
         for h in self.support.generators:
-            out = out + rng.randrange(self.group.order) * h
-        return out
+            c = rng.randrange(order)
+            for j, v in h.nonzero_residues:
+                acc[j] += c * v
+        return self.group.element(acc)
 
 
 def output_distribution(labels: StabilizerSet) -> OutputDistribution:

@@ -163,6 +163,11 @@ class GroupElement:
             tuple((n * a) % d for a, d in zip(self.residues, self.group.moduli)),
         )
 
+    @cached_property
+    def nonzero_residues(self) -> tuple[tuple[int, int], ...]:
+        """(i, r_i) for each nonzero residue, for loops that skip zeros."""
+        return tuple((i, r) for i, r in enumerate(self.residues) if r)
+
     @property
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.residues)

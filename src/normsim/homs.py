@@ -59,10 +59,12 @@ class EndoMatrix:
         return self.columns[col].residues[row]
 
     def apply(self, g: GroupElement) -> GroupElement:
-        out = self.group.zero()
+        acc = [0] * self.group.num_factors
         for gi, col in zip(g.residues, self.columns):
-            out = out + gi * col
-        return out
+            if gi:
+                for row, v in col.nonzero_residues:
+                    acc[row] += gi * v
+        return self.group.element(acc)
 
     def compose(self, inner: EndoMatrix) -> EndoMatrix:
         """The map g -> self(inner(g))."""

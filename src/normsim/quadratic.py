@@ -27,17 +27,11 @@ constructed encoding always denotes an actual quadratic function.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from math import gcd
 
-from .groups import (
-    DENSE_BOUND,
-    AbelianGroup,
-    GroupElement,
-    PhaseExponent,
-    character_exponent,
-    check_bound,
-)
-from .homs import EndoMatrix, InvalidEndomorphism
+from .groups import AbelianGroup, GroupElement, PhaseExponent, character_exponent
+from .homs import EndoMatrix
 
 
 class InvalidQuadratic(ValueError):
@@ -52,6 +46,9 @@ def triangle(n: int) -> int:
 def _pair_index(m: int, i: int, j: int) -> int:
     # row-major upper triangle, i < j
     return i * (2 * m - i - 1) // 2 + (j - i - 1)
+
+
+Term = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -75,19 +72,50 @@ class QuadraticEncoding:
         if validate:
             self._check()
 
+    @cached_property
+    def terms(self) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+        """The nonzero terms of n(g), as (diagonal, pairs).
+
+        Diagonal terms are (i, n_i, b_ii) for each factor with n_i or
+        b_ii nonzero; pair terms are (i, j, b_ij) for i < j with
+        b_ij nonzero. Validation, evaluation and bilinear extraction
+        read the encoding only through this table, so their cost
+        scales with the terms present.
+        """
+        L = self.group.phase_modulus
+        m = self.group.num_factors
+        n1, n2 = self.n_diag, self.n_double
+        diag = tuple(
+            (i, n1[i], (n2[i] - 2 * n1[i]) % L)
+            for i in range(m)
+            if n1[i] or n2[i]
+        )
+        pairs = []
+        k = 0
+        for i in range(m):
+            for j in range(i + 1, m):
+                b = (self.n_pair[k] - n1[i] - n1[j]) % L
+                if b:
+                    pairs.append((i, j, b))
+                k += 1
+        return diag, tuple(pairs)
+
     def _check(self):
         d = self.group.moduli
         L = self.group.phase_modulus
-        m = self.group.num_factors
-        for i in range(m):
-            for j in range(i, m):
-                b = self.bilinear_exponent(i, j)
-                if (d[i] * b) % L or (d[j] * b) % L:
-                    raise InvalidQuadratic(
-                        f"cross term ({i},{j}) exponent {b} survives factor order"
-                    )
-            if (d[i] * self.n_diag[i] + triangle(d[i]) * self.bilinear_exponent(i, i)) % L:
+        diag, pairs = self.terms
+        for i, n, b in diag:
+            if (d[i] * b) % L:
+                raise InvalidQuadratic(
+                    f"cross term ({i},{i}) exponent {b} survives factor order"
+                )
+            if (d[i] * n + triangle(d[i]) * b) % L:
                 raise InvalidQuadratic(f"value at {d[i]}*e^{i} is not 1")
+        for i, j, b in pairs:
+            if (d[i] * b) % L or (d[j] * b) % L:
+                raise InvalidQuadratic(
+                    f"cross term ({i},{j}) exponent {b} survives factor order"
+                )
 
     def bilinear_exponent(self, i: int, j: int) -> int:
         """Exponent of B(e^i, e^j), from the stored generator values."""
@@ -105,16 +133,14 @@ def quad_eval(xi: QuadraticEncoding, g: GroupElement) -> PhaseExponent:
     if g.group != xi.group:
         raise ValueError("element belongs to a different group")
     res = g.residues
+    diag, pairs = xi.terms
     total = 0
-    m = xi.group.num_factors
-    for i in range(m):
+    for i, n, b in diag:
         gi = res[i]
-        if gi == 0:
-            continue
-        total += gi * xi.n_diag[i] + triangle(gi) * xi.bilinear_exponent(i, i)
-        for j in range(i + 1, m):
-            if res[j]:
-                total += gi * res[j] * xi.bilinear_exponent(i, j)
+        if gi:
+            total += gi * n + triangle(gi) * b
+    for i, j, b in pairs:
+        total += res[i] * res[j] * b
     return PhaseExponent(xi.group, total)
 
 
@@ -128,47 +154,18 @@ def extract_endo(xi: QuadraticEncoding) -> EndoMatrix:
     group = xi.group
     d = group.moduli
     L = group.phase_modulus
-    m = group.num_factors
-    cols = []
-    for k in range(m):
-        col = []
-        for l in range(m):
-            u = L // d[l]
-            b = xi.bilinear_exponent(k, l)
-            if b % u:
-                raise InvalidQuadratic(
-                    f"B(e^{k},e^{l}) exponent {b} is not a multiple of {u}"
-                )
-            col.append(b // u)
-        cols.append(group.element(col))
-    return EndoMatrix(group, tuple(cols))
-
-
-def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = DENSE_BOUND) -> bool:
-    """Check xi(g+h) = xi(g) xi(h) B(g,h) over all pairs (test utility).
-
-    Returns False when the encoding does not even determine a bilinear
-    endomorphism (possible only for encodings built with
-    validate=False).
-    """
-    group = xi.group
-    check_bound(group, bound)
-    try:
-        endo = extract_endo(xi)
-    except (InvalidQuadratic, InvalidEndomorphism):
-        return False
-    L = group.phase_modulus
-    elems = list(group.elements())
-    values = {g: quad_eval(xi, g).value for g in elems}
-    for g in elems:
-        for h in elems:
-            lhs = values[g + h]
-            rhs = (
-                values[g] + values[h] + character_exponent(endo.apply(g), h)
-            ) % L
-            if lhs != rhs:
-                return False
-    return True
+    cols = [[0] * group.num_factors for _ in d]
+    diag, pairs = xi.terms
+    entries = [(i, i, b) for i, _, b in diag]
+    entries += [e for i, j, b in pairs for e in ((i, j, b), (j, i, b))]
+    for k, l, b in entries:
+        u = L // d[l]
+        if b % u:
+            raise InvalidQuadratic(
+                f"B(e^{k},e^{l}) exponent {b} is not a multiple of {u}"
+            )
+        cols[k][l] = b // u
+    return EndoMatrix(group, tuple(group.element(c) for c in cols))
 
 
 def _embed_single(group: AbelianGroup, factor: int, n1: int, n2: int) -> QuadraticEncoding:

@@ -13,7 +13,13 @@ from collections import Counter
 
 import numpy as np
 
-from helpers import element_at, quad_product, quad_trivial, to_complex
+from helpers import (
+    element_at,
+    quad_product,
+    quad_trivial,
+    quad_validate_exhaustive,
+    to_complex,
+)
 from normsim.affine import PermutationSpec, affine_test, modexp_permutation
 from normsim.circuits import parse_circuit, random_instance
 from normsim.engine import (
@@ -57,7 +63,6 @@ from normsim.quadratic import (
     quad_from_endo,
     quad_half,
     quad_square,
-    quad_validate_exhaustive,
     triangle,
 )
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import quad_product, quad_trivial
+from helpers import quad_product, quad_trivial, quad_validate_exhaustive
 from normsim.groups import AbelianGroup, character_exponent
 from normsim.homs import endo_validate
 from normsim.quadratic import (
@@ -20,7 +20,6 @@ from normsim.quadratic import (
     quad_from_endo,
     quad_half,
     quad_square,
-    quad_validate_exhaustive,
     triangle,
 )
 
