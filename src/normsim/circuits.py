@@ -13,11 +13,14 @@ internally. The full grammar:
     gate: pauli a=<int> z=(..) x=(..)
 
 The group line comes first and the state line precedes all gates. Gate
-lines are applied in file order. The quad directive stores a quadratic
-function by its exponents at the generators (ne), at pairwise sums of
-generators (nee, row-major i<j), and at doubled generators (ndd). The
-ndd list is optional on input; when absent, the smallest consistent
-doubled values are chosen, and serialization always writes them out.
+lines are applied in file order. A group has at most MAX_FACTORS = 1024
+factors: without coset generators the initial stabilizer holds all m
+units, m^2 residues, so a longer line would exhaust memory instead of
+failing validation. The quad directive stores a quadratic function by
+its exponents at the generators (ne), at pairwise sums of generators
+(nee, row-major i<j), and at doubled generators (ndd). The ndd list is
+optional on input; when absent, the smallest consistent doubled values
+are chosen, and serialization always writes them out.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ from .quadratic import (
     quad_half,
     quad_square,
 )
+
+
+MAX_FACTORS = 1024
 
 
 class CircuitError(ValueError):
@@ -189,8 +195,14 @@ def parse_circuit(text: str) -> ParsedCircuit:
             m = _GROUP_RE.fullmatch(line)
             if not m:
                 raise CircuitParseError(line_no, "malformed group declaration")
+            parts = m.group(1).split()
+            if len(parts) > MAX_FACTORS:
+                raise CircuitValidationError(
+                    line_no,
+                    f"group has {len(parts)} factors, at most {MAX_FACTORS} allowed",
+                )
             try:
-                moduli = [int(p) for p in m.group(1).split()]
+                moduli = [int(p) for p in parts]
             except ValueError:
                 raise CircuitParseError(line_no, "bad modulus") from None
             if not moduli:

@@ -11,11 +11,12 @@ linear algebra over that representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_bound
-from .intlinalg import kernel_basis, solve_diophantine
+from .intlinalg import howell_form, kernel_basis, solve_diophantine
 
 
 class InvalidEndomorphism(ValueError):
@@ -105,30 +106,64 @@ def endo_dual(A: EndoMatrix) -> EndoMatrix:
 def auto_inverse(A: EndoMatrix) -> EndoMatrix | None:
     """Matrix of the inverse automorphism, or None when A is not invertible.
 
-    Solves for B one row at a time: row k lives in Z_{d_k}, so its
-    entries B_k0..B_k(m-1) are the unknowns of 2m congruences mod d_k,
+    Row k of the inverse B lives in Z_{d_k}; scaled by s_k = N/d_k, with
+    N = lcm(d), it becomes the unknown y = s_k B_k. of congruences mod N
+    that no longer depend on k except through the right-hand side:
 
-        d_j B_kj = 0               for each j  (B is a homomorphism)
-        sum_j B_kj A_ji = delta_ki  for each i  (B undoes A on e^i)
+        sum_j y_j A_ji = s_k delta_ki  for each i  (B undoes A on e^i)
+        d_j y_j = 0                    for each j  (B is a homomorphism)
 
-    The m systems are independent, and A is invertible exactly when
-    every one of them is solvable; the inverse is unique, so any
-    particular solution reduced mod d_k is row k of it.
+    Over Z_N these say y M = (s_k e_k | 0) for the m x 2m matrix
+    M = [A | diag(d)], whose row j is (row j of A | d_j e_j). The y with
+    d_j y_j = 0 are the homomorphisms G -> Z_N, and y -> y A is a
+    bijection on them exactly when A is, so A is invertible exactly
+    when y M = 0 forces y = 0. One Howell form of [M | I_m] answers all
+    m rows: its rows that vanish on the M block span that kernel, and
+    greedy reduction of (s_k e_k | 0 | 0) against the other rows leaves
+    (0 | 0 | -y). The result is checked exactly against A before it is
+    returned.
     """
     group = A.group
     d = group.moduli
     m = group.num_factors
-    homomorphism = [[d[j] if c == j else 0 for c in range(m)] for j in range(m)]
-    undoes = [[A.entry(j, i) for j in range(m)] for i in range(m)]
+    N = math.lcm(*d)
+    width = 2 * m
+    rows = []
+    for j in range(m):
+        row = [A.entry(j, i) for i in range(m)] + [0] * width
+        row[m + j] = d[j]
+        row[width + j] = 1
+        rows.append(row)
+    howell = [
+        (next(c for c, v in enumerate(r) if v), r) for r in howell_form(rows, N)
+    ]
+    if any(c >= width for c, _ in howell):
+        return None  # some y != 0 has y M = 0
     inv_rows = []
     for k in range(m):
-        rhs = [0] * m + [1 if i == k else 0 for i in range(m)]
-        sol = solve_diophantine(
-            homomorphism + undoes, rhs, num_cols=m, moduli=[d[k]] * (2 * m)
-        )
-        if sol is None:
+        s = N // d[k]
+        v = [0] * (3 * m)
+        v[k] = s
+        for c, r in howell:
+            if v[c]:
+                q, rem = divmod(v[c], r[c])
+                if rem:
+                    return None
+                v = [(x - q * y) % N for x, y in zip(v, r)]
+        if any(v[:width]):
             return None
-        inv_rows.append([x % d[k] for x in sol.particular])
+        y = [-x % N for x in v[width:]]
+        if any(x % s for x in y):
+            raise ArithmeticError(f"row {k} of the inverse is not a multiple of {s}")
+        inv_rows.append([x // s % d[k] for x in y])
+    # exact check: B is a homomorphism and B A = I row-wise mod d_k
+    for k, row in enumerate(inv_rows):
+        if any(d[j] * b % d[k] for j, b in enumerate(row)):
+            raise ArithmeticError(f"row {k} of the inverse is no homomorphism")
+        for i in range(m):
+            acc = sum(row[j] * v for j, v in A.columns[i].nonzero_residues)
+            if (acc - (i == k)) % d[k]:
+                raise ArithmeticError(f"entry ({k}, {i}) of B A is not {int(i == k)}")
     return EndoMatrix(
         group, tuple(group.element([r[j] for r in inv_rows]) for j in range(m))
     )

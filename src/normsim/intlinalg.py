@@ -4,6 +4,8 @@ Matrices are lists of rows of unbounded Python integers. A system is
 A x = b, with row i taken either exactly or, when `moduli` are given,
 mod d_i. The solver returns one particular solution plus a lattice basis
 of the kernel, so the full solution set is particular + Z-span(kernel).
+`howell_form` reduces a matrix over Z_N to its Howell form, with every
+entry kept in [0, N).
 """
 
 from __future__ import annotations
@@ -35,6 +37,68 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
+    """Howell form of the Z_N-module spanned by `rows`.
+
+    Returns rows with entries in [0, N), in row-echelon form: each row's
+    first nonzero entry (its pivot) divides N, pivots sit in strictly
+    increasing columns, and entries above a pivot are reduced below it.
+    The rows span the same submodule of Z_N^n as the input, and they
+    have the Howell property: every vector of the span that is zero in
+    its first k columns is a Z_N-combination of the rows whose pivot
+    column is k or later. So greedy reduction against the rows decides
+    membership, and the rows with zeros in a leading block span exactly
+    the span vectors that vanish there.
+
+    Column by column, the rows with a nonzero entry merge into one
+    pivot row by unimodular 2x2 gcd steps; a gcd step against the
+    zero row N*e_c makes the pivot gcd(a, N) and leaves the annihilator
+    (N/g) * pivot row, which joins the rows still to be reduced
+    (Storjohann & Mulders, "Fast algorithms for linear algebra modulo
+    N", 1998).
+    """
+    if N < 1:
+        raise ValueError("modulus must be a positive integer")
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("rows must all have the same length")
+    pool = [[v % N for v in row] for row in rows]
+    pool = [row for row in pool if any(row)]
+    out: list[list[int]] = []
+    for c in range(n):
+        piv = None
+        rest = []
+        for row in pool:
+            b = row[c]
+            if b == 0:
+                rest.append(row)
+            elif piv is None:
+                piv = row
+            else:
+                a = piv[c]
+                g, s, t = _exgcd(a, b)
+                p, q = a // g, b // g
+                piv, row = (
+                    [(s * x + t * y) % N for x, y in zip(piv, row)],
+                    [(p * y - q * x) % N for x, y in zip(piv, row)],
+                )
+                if any(row):
+                    rest.append(row)
+        if piv is not None:
+            g, s, _ = _exgcd(piv[c], N)
+            annihilator = [(N // g) * x % N for x in piv]
+            if any(annihilator):
+                rest.append(annihilator)
+            piv = [s * x % N for x in piv]
+            for row in out:
+                q = row[c] // g
+                if q:
+                    row[:] = [(x - q * y) % N for x, y in zip(row, piv)]
+            out.append(piv)
+        pool = rest
+    return [tuple(row) for row in out]
 
 
 def _column_echelon(A: IntMatrix, m: int):

@@ -6,6 +6,7 @@ import pytest
 
 from normsim.affine import parse_permutation_table
 from normsim.circuits import (
+    MAX_FACTORS,
     CircuitParseError,
     CircuitValidationError,
     parse_circuit,
@@ -146,6 +147,13 @@ def test_rejects_bad_group_lines():
     assert "line 1" in str(err_line("group: 2 1\nstate: coset gens=[] shift=(0,0)\n"))
     assert "line 1" in str(err_line("group: 0\nstate: coset gens=[] shift=(0)\n"))
     assert "line 1" in str(err_line("group:\nstate: coset gens=[] shift=(0)\n"))
+    wide = "group: " + " ".join(["2"] * (MAX_FACTORS + 1)) + "\n"
+    e = err_line(wide + "state: coset gens=[] shift=(0)\n")
+    assert isinstance(e, CircuitValidationError) and "line 1" in str(e)
+    widest = "group: " + " ".join(["2"] * MAX_FACTORS) + "\n"
+    shift = "(" + ",".join(["0"] * MAX_FACTORS) + ")"
+    parsed = parse_circuit(widest + f"state: coset gens=[] shift={shift}\n")
+    assert parsed.group.num_factors == MAX_FACTORS
 
 
 def test_rejects_bad_targets():

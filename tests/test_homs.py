@@ -1,5 +1,6 @@
 """Endomorphism matrices, duals, inverses, and orthogonal subgroups."""
 
+import itertools
 import math
 import random
 
@@ -113,35 +114,75 @@ def test_auto_inverse_roundtrip():
 
 
 def test_auto_inverse_many_factors_beyond_word():
-    mods = (4, 6, 3, 8, 2, 9, 16, 27, 5, 12, 2**40, 10**9 + 7)
-    g = AbelianGroup(mods)
-    m = len(mods)
-    ident = EndoMatrix.identity(g)
-    rng = random.Random(41)
-    pairs = [
-        (i, j) for i in range(m) for j in range(m)
-        if i != j and math.gcd(mods[i], mods[j]) > 1
-    ]
-    a = ident
-    for _ in range(3 * m):
-        # shear e^i -> e^i + c e^j, a homomorphism when d_i c = 0 mod d_j
-        i, j = rng.choice(pairs)
-        step = math.gcd(mods[i], mods[j])
-        c = rng.randrange(1, step) * (mods[j] // step)
+    base = (4, 6, 3, 8, 2, 9, 16, 27, 5, 12, 2**40, 10**9 + 7)
+    for m in (12, 64):
+        mods = tuple(base[i % len(base)] for i in range(m))
+        g = AbelianGroup(mods)
+        ident = EndoMatrix.identity(g)
+        rng = random.Random(41)
+        pairs = [
+            (i, j) for i in range(m) for j in range(m)
+            if i != j and math.gcd(mods[i], mods[j]) > 1
+        ]
+        a = ident
+        for _ in range(3 * m):
+            # shear e^i -> e^i + c e^j, a homomorphism when d_i c = 0 mod d_j
+            i, j = rng.choice(pairs)
+            step = math.gcd(mods[i], mods[j])
+            c = rng.randrange(1, step) * (mods[j] // step)
+            cols = list(ident.columns)
+            cols[i] = cols[i] + c * g.unit(j)
+            a = EndoMatrix(g, tuple(cols)).compose(a)
         cols = list(ident.columns)
-        cols[i] = cols[i] + c * g.unit(j)
+        cols[11] = 5 * cols[11]  # a unit mod 10^9 + 7
         a = EndoMatrix(g, tuple(cols)).compose(a)
-    cols = list(ident.columns)
-    cols[11] = 5 * cols[11]  # a unit mod 10^9 + 7
-    a = EndoMatrix(g, tuple(cols)).compose(a)
-    inv = auto_inverse(a)
-    assert inv is not None
-    assert inv.compose(a).columns == ident.columns
-    assert a.compose(inv).columns == ident.columns
-    # doubling the image of the Z_(2^40) generator loses invertibility
-    cols = list(a.columns)
-    cols[10] = 2 * cols[10]
-    assert auto_inverse(EndoMatrix(g, tuple(cols))) is None
+        inv = auto_inverse(a)
+        assert inv is not None
+        assert inv.compose(a).columns == ident.columns
+        assert a.compose(inv).columns == ident.columns
+        # doubling the image of the Z_(2^40) generator loses invertibility
+        cols = list(a.columns)
+        cols[10] = 2 * cols[10]
+        assert auto_inverse(EndoMatrix(g, tuple(cols))) is None
+
+
+def apply_residues(cols, mods, x):
+    """A x for an endomorphism given by residue columns, on residue tuples."""
+    return tuple(
+        sum(col[k] * xi for col, xi in zip(cols, x)) % dk
+        for k, dk in enumerate(mods)
+    )
+
+
+def test_auto_inverse_none_exactly_for_non_bijections():
+    # entry (k, i) a multiple of d_k / gcd(d_i, d_k) is exactly a valid
+    # column i; the image is enumerated, so None is checked against the
+    # definition, including matrices whose scaled congruences do solve
+    rng = random.Random(47)
+    seen = {True: 0, False: 0}
+    for _ in range(1000):
+        mods = tuple(
+            rng.choice([2, 3, 4, 6, 8, 9, 12]) for _ in range(rng.randint(1, 3))
+        )
+        cols = [
+            [dk // math.gcd(di, dk) * rng.randrange(math.gcd(di, dk)) for dk in mods]
+            for di in mods
+        ]
+        g = AbelianGroup(mods)
+        elements = list(itertools.product(*(range(d) for d in mods)))
+        image = {apply_residues(cols, mods, x) for x in elements}
+        bijective = len(image) == g.order
+        inv = auto_inverse(endo_validate(g, cols))
+        assert (inv is not None) == bijective
+        seen[bijective] += 1
+        if inv is not None:
+            inv_cols = [c.residues for c in inv.columns]
+            for x in elements:
+                ax = apply_residues(cols, mods, x)
+                bx = apply_residues(inv_cols, mods, x)
+                assert apply_residues(inv_cols, mods, ax) == x
+                assert apply_residues(cols, mods, bx) == x
+    assert min(seen.values()) > 200
 
 
 def test_orthogonal_subgroup_frozen():

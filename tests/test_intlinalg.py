@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from normsim.intlinalg import kernel_basis, solve_diophantine
+from normsim.intlinalg import howell_form, kernel_basis, solve_diophantine
 
 
 def mat_vec(rows, x):
@@ -181,3 +181,57 @@ def test_none_means_no_solutions_in_box():
                 checked += 1
                 assert not brute_solutions(rows, b, m, -12, 12, moduli)
         assert checked > 20
+
+
+def span_mod(rows, N, n):
+    """Every Z_N-combination of `rows`, as a set of n-tuples."""
+    zero = (0,) * n
+    span, frontier = {zero}, [zero]
+    while frontier:
+        cur = frontier.pop()
+        for row in rows:
+            nxt = tuple((a + b) % N for a, b in zip(cur, row))
+            if nxt not in span:
+                span.add(nxt)
+                frontier.append(nxt)
+    return span
+
+
+def pivot(row):
+    return next(c for c, v in enumerate(row) if v)
+
+
+def test_howell_form_frozen():
+    # 2 * (2, 1) = (0, 2) mod 4 is in the span but starts at column 1;
+    # the Howell property needs it as a row of its own
+    assert howell_form([[2, 1]], 4) == [(2, 1), (0, 2)]
+    assert howell_form([[3, 5], [6, 7]], 1) == []
+    assert howell_form([], 5) == []
+    with pytest.raises(ValueError):
+        howell_form([[1]], 0)
+    with pytest.raises(ValueError):
+        howell_form([[1, 2], [3]], 5)
+
+
+def test_howell_form_matches_brute_force():
+    rng = random.Random(43)
+    for _ in range(300):
+        N = rng.choice([2, 4, 6, 8, 9, 12])
+        n = rng.randint(1, 4)
+        rows = [
+            [rng.randrange(-N, 2 * N) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        howell = howell_form(rows, N)
+        span = span_mod(rows, N, n)
+        assert span_mod(howell, N, n) == span
+        pivots = [pivot(r) for r in howell]
+        assert pivots == sorted(set(pivots))
+        for i, (r, c) in enumerate(zip(howell, pivots)):
+            assert all(0 <= v < N for v in r)
+            assert N % r[c] == 0
+            assert all(above[c] < r[c] for above in howell[:i])
+        for k in range(n + 1):
+            tail = [r for r, c in zip(howell, pivots) if c >= k]
+            vanishing = {v for v in span if not any(v[:k])}
+            assert span_mod(tail, N, n) == vanishing
