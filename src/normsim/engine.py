@@ -1,23 +1,26 @@
 """Stabilizer-based simulation of normalizer circuits.
 
 The input coset state is fixed by an explicit set of commuting Pauli
-labels. Each gate conjugates every label in closed form, and at the end
-the measurement statistics are read off the final labels: the support
-is a coset offset + <x parts>, and the offset is pinned down by the
-purely diagonal stabilizer elements. Sampling the uniform distribution
-over the coset then needs no state vector at any point.
+labels. The labels are held as one column-major tableau, and each gate
+rewrites, in closed form, only the columns of the factors it acts on.
+At the end the measurement statistics are read off the final labels:
+the support is a coset offset + <x parts>, and the offset is pinned
+down by the purely diagonal stabilizer elements. Sampling the uniform
+distribution over the coset then needs no state vector at any point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .groups import (
     ENUM_BOUND,
     AbelianGroup,
     GroupElement,
+    GroupMismatchError,
     PhaseExponent,
     character_exponent,
 )
@@ -31,9 +34,10 @@ from .homs import (
     subgroup_members,
 )
 from .intlinalg import kernel_basis
-# pauli_dagger has no caller here; perfbench's tracer wraps it in this namespace
+# pauli_dagger, extract_endo and quad_eval have no caller here; perfbench's
+# tracer wraps them in this namespace, so they stay bound
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
-from .quadratic import QuadraticEncoding, extract_endo, quad_eval
+from .quadratic import InvalidQuadratic, QuadraticEncoding, extract_endo, quad_eval
 
 
 class EngineError(RuntimeError):
@@ -56,6 +60,59 @@ def _check_targets(group: AbelianGroup, targets: Sequence[int]) -> tuple[int, ..
     return t
 
 
+class Tableau:
+    """Stabilizer labels by column (Aaronson-Gottesman, quant-ph/0406196).
+
+    z[i] and x[i] list factor i's residues over the rows, and phase the
+    rows' exponents mod 2|G|, as plain ints: a gate rewrites only the
+    columns of the factors it touches and builds no group element.
+    """
+
+    def __init__(self, labels: Sequence[PauliLabel]):
+        self.group = labels[0].group
+        if any(s.group != self.group for s in labels):
+            raise GroupMismatchError("stabilizer labels over different groups")
+        self.z = [list(col) for col in zip(*(s.z_part.residues for s in labels))]
+        self.x = [list(col) for col in zip(*(s.x_part.residues for s in labels))]
+        self.phase = [s.phase.value for s in labels]
+
+    def labels(self) -> tuple[PauliLabel, ...]:
+        g = self.group
+        rows = zip(self.phase, zip(*self.z), zip(*self.x))
+        return tuple(
+            PauliLabel(PhaseExponent(g, a), GroupElement(g, z), GroupElement(g, x))
+            for a, z, x in rows
+        )
+
+
+def _axpy(acc: list[int], c: int, col: list[int], mod: int) -> list[int]:
+    return [(a + c * v) % mod for a, v in zip(acc, col)]
+
+
+def _push(A: EndoMatrix, cols: list[list[int]], rows: int) -> list[list[int]]:
+    """The columns of A(v) for every row v, over the nonzero entries of A."""
+    acc = [[0] * rows for _ in cols]
+    for src, col in zip(cols, A.columns):
+        for l, v in col.nonzero_residues:
+            acc[l] = _axpy(acc[l], v, src, A.group.moduli[l])
+    return acc
+
+
+def _on_tableau(apply):
+    """conjugate(target): apply to a Tableau in place, or to one label."""
+
+    def conjugate(self, target: Tableau | PauliLabel) -> Tableau | PauliLabel:
+        tab = target if isinstance(target, Tableau) else Tableau((target,))
+        if tab.group != self.group:
+            raise GroupMismatchError(
+                f"gate over {self.group} applied to labels over {tab.group}"
+            )
+        apply(self, tab)
+        return tab if tab is target else tab.labels()[0]
+
+    return conjugate
+
+
 @dataclass(frozen=True)
 class FourierGate:
     """Fourier transform on a subset of the cyclic factors (0-based).
@@ -72,24 +129,16 @@ class FourierGate:
     def __post_init__(self):
         object.__setattr__(self, "targets", _check_targets(self.group, self.targets))
 
-    def conjugate(self, label: PauliLabel) -> PauliLabel:
-        group = self.group
-        d = group.moduli
-        two_g = group.phase_modulus
-        g = list(label.z_part.residues)
-        h = list(label.x_part.residues)
-        a = label.phase.value
+    @_on_tableau
+    def conjugate(self, tab: Tableau) -> None:
+        d, L = self.group.moduli, self.group.phase_modulus
+        ph = tab.phase
         for i in self.targets:
-            a += (two_g // d[i]) * g[i] * h[i]
-            if self.inverse:
-                g[i], h[i] = (-h[i]) % d[i], g[i]
-            else:
-                g[i], h[i] = h[i], (-g[i]) % d[i]
-        return PauliLabel(
-            PhaseExponent(group, a),
-            GroupElement(group, tuple(g)),
-            GroupElement(group, tuple(h)),
-        )
+            g, h, u = tab.z[i], tab.x[i], L // d[i]
+            ph = [a + u * gk * hk for a, gk, hk in zip(ph, g, h)]
+            neg = [(-v) % d[i] for v in (h if self.inverse else g)]
+            tab.z[i], tab.x[i] = (neg, g) if self.inverse else (h, neg)
+        tab.phase = [a % L for a in ph]
 
 
 @dataclass(frozen=True)
@@ -112,12 +161,10 @@ class AutomorphismGate:
     def group(self) -> AbelianGroup:
         return self.matrix.group
 
-    def conjugate(self, label: PauliLabel) -> PauliLabel:
-        return PauliLabel(
-            label.phase,
-            self._z_action.apply(label.z_part),
-            self.matrix.apply(label.x_part),
-        )
+    @_on_tableau
+    def conjugate(self, tab: Tableau) -> None:
+        tab.z = _push(self._z_action, tab.z, len(tab.phase))
+        tab.x = _push(self.matrix, tab.x, len(tab.phase))
 
 
 @dataclass(frozen=True)
@@ -127,27 +174,35 @@ class QuadraticGate:
     encoding: QuadraticEncoding
 
     def __post_init__(self):
-        object.__setattr__(self, "_endo", extract_endo(self.encoding))
+        # conjugate adds b / (2|G|/d_l) times x to z_l for each slot l of
+        # a term; validated encodings always divide exactly
+        d, L = self.group.moduli, self.group.phase_modulus
+        diag, pairs = self.encoding.terms
+        for i, j, b in [(i, i, b) for i, _, b in diag] + list(pairs):
+            if b % (L // d[i]) or b % (L // d[j]):
+                raise InvalidQuadratic(
+                    f"B(e^{i},e^{j}) exponent {b} is not a multiple of 2|G|/d"
+                )
 
     @property
     def group(self) -> AbelianGroup:
         return self.encoding.group
 
-    def conjugate(self, label: PauliLabel) -> PauliLabel:
-        # X(h) picks up xi(h) and a Z(w(h)) tail; pulling the new Z next
-        # to the old one is free (diagonals commute), but expressing the
-        # k-dependence chi_{w(k)}(h) as chi_{w(h)}(k) overshoots by
-        # B(h,h) once, which the phase repays.
-        h = label.x_part
-        w_h = self._endo.apply(h)
-        a = (
-            label.phase.value
-            + quad_eval(self.encoding, h).value
-            - character_exponent(w_h, h)
-        )
-        return PauliLabel(
-            PhaseExponent(self.group, a), label.z_part + w_h, label.x_part
-        )
+    @_on_tableau
+    def conjugate(self, tab: Tableau) -> None:
+        # X(x) picks up xi(x) and a Z(w(x)) tail; moving chi_{w(k)}(x) onto
+        # k overshoots by B(x,x) once, so each term's phase is xi's minus B's
+        d, L = self.group.moduli, self.group.phase_modulus
+        z, x, ph = tab.z, tab.x, tab.phase
+        diag, pairs = self.encoding.terms
+        for i, n, b in diag:
+            ph = [a + v * n - b * (v * (v + 1) // 2) for a, v in zip(ph, x[i])]
+            z[i] = _axpy(z[i], b // (L // d[i]), x[i], d[i])
+        for i, j, b in pairs:
+            ph = [a - b * vi * vj for a, vi, vj in zip(ph, x[i], x[j])]
+            z[i] = _axpy(z[i], b // (L // d[i]), x[j], d[i])
+            z[j] = _axpy(z[j], b // (L // d[j]), x[i], d[j])
+        tab.phase = [a % L for a in ph]
 
 
 @dataclass(frozen=True)
@@ -160,15 +215,17 @@ class PauliGate:
     def group(self) -> AbelianGroup:
         return self.label.group
 
-    def conjugate(self, label: PauliLabel) -> PauliLabel:
+    @_on_tableau
+    def conjugate(self, tab: Tableau) -> None:
         # For P ~ Z(g) X(h): P Z(z) X(x) P^dagger = chi_g(x) chi_z(-h) Z(z) X(x),
         # so only the phase moves.
-        a = (
-            label.phase.value
-            + character_exponent(self.label.z_part, label.x_part)
-            - character_exponent(label.z_part, self.label.x_part)
-        )
-        return PauliLabel(PhaseExponent(self.group, a), label.z_part, label.x_part)
+        p, d, L = self.label, self.group.moduli, self.group.phase_modulus
+        terms = [((L // d[i]) * g, tab.x[i]) for i, g in p.z_part.nonzero_residues]
+        terms += [(-(L // d[i]) * h, tab.z[i]) for i, h in p.x_part.nonzero_residues]
+        if terms:
+            coefs, cols = zip(*terms)
+            rows = zip(tab.phase, zip(*cols))
+            tab.phase = [(a + sum(map(mul, coefs, row))) % L for a, row in rows]
 
 
 Gate = FourierGate | AutomorphismGate | QuadraticGate | PauliGate
@@ -216,10 +273,13 @@ def init_stabilizer(coset: CosetInput) -> StabilizerSet:
 
 
 def conjugate_circuit(labels: StabilizerSet, gates: Iterable[Gate]) -> StabilizerSet:
-    out = list(labels)
+    """One tableau update per gate; GroupMismatchError on a foreign gate."""
+    if not labels:
+        return ()
+    tab = Tableau(labels)
     for gate in gates:
-        out = [gate.conjugate(s) for s in out]
-    return tuple(out)
+        gate.conjugate(tab)
+    return tab.labels()
 
 
 @dataclass(frozen=True)
@@ -288,9 +348,6 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
 
 def simulate(coset: CosetInput, gates: Sequence[Gate]) -> OutputDistribution:
     """Full pipeline: stabilizer init, conjugation, statistics."""
-    for gate in gates:
-        if gate.group != coset.group:
-            raise ValueError("gate group does not match input group")
     return output_distribution(conjugate_circuit(init_stabilizer(coset), gates))
 
 

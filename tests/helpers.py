@@ -1,11 +1,15 @@
 """Test-only helpers shared by several test modules.
 
 The package keeps none of these: they enumerate groups, build
-quadratic functions by hand, or turn exact phases into floats.
+quadratic functions by hand, turn exact phases into floats, or
+conjugate one label at a time as the reference for the engine's
+tableau.
 """
 
 import cmath
+import math
 
+from normsim.engine import AutomorphismGate, FourierGate, PauliGate, QuadraticGate
 from normsim.groups import (
     DENSE_BOUND,
     AbelianGroup,
@@ -14,7 +18,8 @@ from normsim.groups import (
     character_exponent,
     check_bound,
 )
-from normsim.homs import InvalidEndomorphism
+from normsim.homs import EndoMatrix, InvalidEndomorphism
+from normsim.pauli import PauliLabel
 from normsim.quadratic import (
     InvalidQuadratic,
     QuadraticEncoding,
@@ -35,6 +40,20 @@ def element_at(group: AbelianGroup, index: int) -> GroupElement:
 def to_complex(phase: PhaseExponent) -> complex:
     """The complex number gamma^value with gamma = exp(i*pi/order)."""
     return cmath.exp(1j * cmath.pi * phase.value / phase.group.order)
+
+
+def random_endo(rng, group: AbelianGroup, density: float) -> EndoMatrix:
+    """Entry (k, i) a multiple of d_k / gcd(d_i, d_k), nonzero w.p. density."""
+    d = group.moduli
+    cols = []
+    for di in d:
+        col = []
+        for dk in d:
+            step = dk // math.gcd(di, dk)
+            nonzero = rng.random() < density
+            col.append(step * rng.randrange(dk // step) if nonzero else 0)
+        cols.append(group.element(col))
+    return EndoMatrix(group, tuple(cols))
 
 
 def quad_product(a: QuadraticEncoding, b: QuadraticEncoding) -> QuadraticEncoding:
@@ -79,3 +98,80 @@ def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = DENSE_BOUND) ->
             if lhs != rhs:
                 return False
     return True
+
+
+def _fourier_reference(gate: FourierGate, label: PauliLabel) -> PauliLabel:
+    group = gate.group
+    d = group.moduli
+    two_g = group.phase_modulus
+    g = list(label.z_part.residues)
+    h = list(label.x_part.residues)
+    a = label.phase.value
+    for i in gate.targets:
+        a += (two_g // d[i]) * g[i] * h[i]
+        if gate.inverse:
+            g[i], h[i] = (-h[i]) % d[i], g[i]
+        else:
+            g[i], h[i] = h[i], (-g[i]) % d[i]
+    return PauliLabel(
+        PhaseExponent(group, a),
+        GroupElement(group, tuple(g)),
+        GroupElement(group, tuple(h)),
+    )
+
+
+def _automorphism_reference(gate: AutomorphismGate, label: PauliLabel) -> PauliLabel:
+    return PauliLabel(
+        label.phase,
+        gate._z_action.apply(label.z_part),
+        gate.matrix.apply(label.x_part),
+    )
+
+
+def _quadratic_reference(gate: QuadraticGate, label: PauliLabel) -> PauliLabel:
+    # X(h) picks up xi(h) and a Z(w(h)) tail; pulling the new Z next
+    # to the old one is free (diagonals commute), but expressing the
+    # k-dependence chi_{w(k)}(h) as chi_{w(h)}(k) overshoots by
+    # B(h,h) once, which the phase repays.
+    h = label.x_part
+    w_h = extract_endo(gate.encoding).apply(h)
+    a = (
+        label.phase.value
+        + quad_eval(gate.encoding, h).value
+        - character_exponent(w_h, h)
+    )
+    return PauliLabel(
+        PhaseExponent(gate.group, a), label.z_part + w_h, label.x_part
+    )
+
+
+def _pauli_reference(gate: PauliGate, label: PauliLabel) -> PauliLabel:
+    # For P ~ Z(g) X(h): P Z(z) X(x) P^dagger = chi_g(x) chi_z(-h) Z(z) X(x),
+    # so only the phase moves.
+    a = (
+        label.phase.value
+        + character_exponent(gate.label.z_part, label.x_part)
+        - character_exponent(label.z_part, gate.label.x_part)
+    )
+    return PauliLabel(PhaseExponent(gate.group, a), label.z_part, label.x_part)
+
+
+_REFERENCES = {
+    FourierGate: _fourier_reference,
+    AutomorphismGate: _automorphism_reference,
+    QuadraticGate: _quadratic_reference,
+    PauliGate: _pauli_reference,
+}
+
+
+def reference_conjugate(gate, label: PauliLabel) -> PauliLabel:
+    """U s U^dagger for one gate and one label, built from group elements."""
+    return _REFERENCES[type(gate)](gate, label)
+
+
+def reference_circuit(labels, gates) -> tuple[PauliLabel, ...]:
+    """Every label through every gate, one label at a time."""
+    out = list(labels)
+    for gate in gates:
+        out = [reference_conjugate(gate, s) for s in out]
+    return tuple(out)

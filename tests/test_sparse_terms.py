@@ -13,10 +13,9 @@ import random
 
 import pytest
 
-from helpers import quad_product
+from helpers import quad_product, random_endo
 from normsim.engine import PauliGate, QuadraticGate
 from normsim.groups import AbelianGroup, character_exponent
-from normsim.homs import EndoMatrix
 from normsim.pauli import pauli_dagger, pauli_label, pauli_mul
 from normsim.quadratic import (
     InvalidQuadratic,
@@ -43,20 +42,6 @@ def random_group(rng, max_factors=40):
 
 def random_element(rng, group):
     return group.element([rng.randrange(d) for d in group.moduli])
-
-
-def random_endo(rng, group, density):
-    """Entry (k, i) a multiple of d_k / gcd(d_i, d_k), nonzero w.p. density."""
-    d = group.moduli
-    cols = []
-    for di in d:
-        col = []
-        for dk in d:
-            step = dk // math.gcd(di, dk)
-            nonzero = rng.random() < density
-            col.append(step * rng.randrange(dk // step) if nonzero else 0)
-        cols.append(group.element(col))
-    return EndoMatrix(group, tuple(cols))
 
 
 def random_encoding(rng, group):
