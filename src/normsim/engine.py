@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -34,8 +36,9 @@ from .homs import (
     subgroup_members,
 )
 from .intlinalg import kernel_basis
-# pauli_dagger, extract_endo and quad_eval have no caller here; perfbench's
-# tracer wraps them in this namespace, so they stay bound
+# pauli_dagger, pauli_identity, pauli_mul, pauli_pow, extract_endo and
+# quad_eval have no caller here; perfbench's tracer wraps them in this
+# namespace, so they stay bound
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import InvalidQuadratic, QuadraticEncoding, extract_endo, quad_eval
 
@@ -290,20 +293,47 @@ class OutputDistribution:
     offset: GroupElement
     support: Subgroup
 
+    def __post_init__(self):
+        if not self.offset.group == self.support.group == self.group:
+            raise GroupMismatchError(
+                f"distribution over {self.group} with parts over "
+                f"{self.offset.group} and {self.support.group}"
+            )
+
     def members(self, bound: int = ENUM_BOUND) -> frozenset[GroupElement]:
         return frozenset(
             self.offset + h for h in subgroup_members(self.support, bound)
         )
 
+    @cached_property
+    def _packed(self) -> tuple[int, list, list, int]:
+        """(offset, [(ord(h), h)], [(shift, d_j)], mask), residue j of offset
+        and each h in field j; a field holds o_j + sum (ord(h) - 1) h_j,
+        so no shot's sum carries across fields."""
+        d = self.group.moduli
+        hs = [h.residues for h in self.support.generators]
+        orders = [lcm(*(dj // gcd(dj, v) for dj, v in zip(d, h))) for h in hs]
+        top = [o + sum((n - 1) * h[j] for n, h in zip(orders, hs))
+               for j, o in enumerate(self.offset.residues)]
+        w = max(top).bit_length()
+        fields = [(j * w, dj) for j, dj in enumerate(d)]
+
+        def pack(v):
+            return sum(r << s for r, (s, _) in zip(v, fields))
+
+        gens = [(n, pack(h)) for n, h in zip(orders, hs)]
+        return pack(self.offset.residues), gens, fields, (1 << w) - 1
+
     def sample(self, rng: random.Random) -> GroupElement:
-        # randrange is exact rejection sampling, unbiased for any order
-        order = self.group.order
-        acc = list(self.offset.residues)
-        for h in self.support.generators:
-            c = rng.randrange(order)
-            for j, v in h.nonzero_residues:
-                acc[j] += c * v
-        return self.group.element(acc)
+        # randrange is exact rejection sampling, unbiased for any order;
+        # c and c mod ord(h) give the same c*h
+        acc, gens, fields, mask = self._packed
+        order, draw = self.group.order, rng.randrange
+        for n, h in gens:
+            acc += draw(order) % n * h
+        return GroupElement(
+            self.group, tuple([(acc >> s & mask) % dj for s, dj in fields])
+        )
 
 
 def output_distribution(labels: StabilizerSet) -> OutputDistribution:
@@ -313,32 +343,43 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     from the purely diagonal stabilizer elements: products
     prod_i s_i^{k_i} whose X part cancels are gamma^c Z(z), and fixing
     the state forces chi_z(x) = gamma^{-c} on every support point x.
+    Each product is built on plain ints, label by label in index order
+    (the rowsum of quant-ph/0406196): s^k adds k*a - k(k-1)/2 chi(z, x)
+    and putting it right of Z(Z) X(X) costs chi(k z, X).
     """
     if not labels:
         raise EngineError("empty stabilizer set")
     group = labels[0].group
+    d, L = group.moduli, group.phase_modulus
     h_parts = [s.x_part for s in labels]
-    support = Subgroup(
-        group, tuple(h for h in h_parts if not h.is_zero)
-    )
+    support = Subgroup(group, tuple(h for h in h_parts if not h.is_zero))
+    # per label: a, chi(z, x), z, x and u with chi_z(y) = gamma^(u . y)
+    terms = []
+    for s in labels:
+        z, x = s.z_part.residues, s.x_part.residues
+        u = [L // dj * v for dj, v in zip(d, z)]
+        terms.append((s.phase.value, sum(map(mul, u, x)), z, x, u))
     # exponent tuples k with sum_i k_i h^i = 0 in G
     rows = [[h.residues[j] for h in h_parts] for j in range(group.num_factors)]
     diag_gens: list[GroupElement] = []
     diag_phases: list[int] = []
     for vec in kernel_basis(rows, num_cols=len(labels), moduli=group.moduli):
-        prod = pauli_identity(group)
-        for s, k in zip(labels, vec):
+        c, Z, X = 0, [0] * len(d), [0] * len(d)
+        for k, (a, comm, z, x, u) in zip(vec, terms):
             if k:
-                prod = pauli_mul(prod, pauli_pow(s, k))
-        if not prod.x_part.is_zero:
+                c += k * a - k * (k - 1) // 2 * comm - k * sum(map(mul, u, X))
+                Z = [zj + k * v for zj, v in zip(Z, z)]
+                X = [xj + k * v for xj, v in zip(X, x)]
+        if any(xj % dj for xj, dj in zip(X, d)):
             raise EngineError("diagonal combination kept an X part")
-        c = prod.phase.value
+        c %= L
         if c % 2:
             raise EngineError("diagonal stabilizer phase is an odd power")
-        if prod.z_part.is_zero and c:
+        z_part = group.element(Z)
+        if z_part.is_zero and c:
             # gamma^c * identity fixing the state forces c = 0
             raise EngineError("stabilizer contains a nontrivial scalar")
-        diag_gens.append(prod.z_part)
+        diag_gens.append(z_part)
         diag_phases.append((-(c // 2)) % group.order)
     offset = solve_character_system(group, diag_gens, diag_phases)
     if offset is None:

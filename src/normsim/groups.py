@@ -44,14 +44,16 @@ class AbelianGroup:
     """A finite Abelian group presented as a product of cyclic factors.
 
     Args:
-        moduli: the cyclic orders (d_1, ..., d_m). External input must
-            use d_i >= 2; internally a factor of order 1 is tolerated.
+        moduli: the cyclic orders (d_1, ..., d_m), m >= 1. External input
+            must use d_i >= 2; internally a factor of order 1 is tolerated.
     """
 
     moduli: tuple[int, ...]
 
     def __post_init__(self):
         mods = tuple(int(d) for d in self.moduli)
+        if not mods:
+            raise ValueError("a group needs at least one cyclic factor")
         if any(d < 1 for d in mods):
             raise ValueError(f"moduli must be positive, got {mods}")
         object.__setattr__(self, "moduli", mods)
@@ -173,7 +175,7 @@ class GroupElement:
         return all(r == 0 for r in self.residues)
 
     def __str__(self):
-        return "(" + ",".join(str(r) for r in self.residues) + ")"
+        return "(" + ",".join(map(str, self.residues)) + ")"
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ entry kept in [0, N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -202,7 +203,7 @@ def solve_diophantine(
 
     def satisfies(x, rhs) -> bool:
         for i, row in enumerate(A):
-            r = sum(a * v for a, v in zip(row, x)) - rhs[i]
+            r = sum(map(mul, row, x)) - rhs[i]
             if moduli is not None:
                 r %= moduli[i]
             if r:

@@ -1,15 +1,23 @@
 """Test-only helpers shared by several test modules.
 
 The package keeps none of these: they enumerate groups, build
-quadratic functions by hand, turn exact phases into floats, or
-conjugate one label at a time as the reference for the engine's
-tableau.
+quadratic functions by hand, turn exact phases into floats, conjugate
+one label at a time as the reference for the engine's tableau, or read
+out and sample through PauliLabel and GroupElement arithmetic as the
+reference for the engine's plain-int readout and sampler.
 """
 
 import cmath
 import math
 
-from normsim.engine import AutomorphismGate, FourierGate, PauliGate, QuadraticGate
+from normsim.engine import (
+    AutomorphismGate,
+    EngineError,
+    FourierGate,
+    OutputDistribution,
+    PauliGate,
+    QuadraticGate,
+)
 from normsim.groups import (
     DENSE_BOUND,
     AbelianGroup,
@@ -18,8 +26,14 @@ from normsim.groups import (
     character_exponent,
     check_bound,
 )
-from normsim.homs import EndoMatrix, InvalidEndomorphism
-from normsim.pauli import PauliLabel
+from normsim.homs import (
+    EndoMatrix,
+    InvalidEndomorphism,
+    Subgroup,
+    solve_character_system,
+)
+from normsim.intlinalg import kernel_basis
+from normsim.pauli import PauliLabel, pauli_identity, pauli_mul, pauli_pow
 from normsim.quadratic import (
     InvalidQuadratic,
     QuadraticEncoding,
@@ -175,3 +189,45 @@ def reference_circuit(labels, gates) -> tuple[PauliLabel, ...]:
     for gate in gates:
         out = [reference_conjugate(gate, s) for s in out]
     return tuple(out)
+
+
+def reference_output_distribution(labels) -> OutputDistribution:
+    """Readout with one pauli_mul/pauli_pow product per kernel vector."""
+    if not labels:
+        raise EngineError("empty stabilizer set")
+    group = labels[0].group
+    h_parts = [s.x_part for s in labels]
+    support = Subgroup(group, tuple(h for h in h_parts if not h.is_zero))
+    # exponent tuples k with sum_i k_i h^i = 0 in G
+    rows = [[h.residues[j] for h in h_parts] for j in range(group.num_factors)]
+    diag_gens: list[GroupElement] = []
+    diag_phases: list[int] = []
+    for vec in kernel_basis(rows, num_cols=len(labels), moduli=group.moduli):
+        prod = pauli_identity(group)
+        for s, k in zip(labels, vec):
+            if k:
+                prod = pauli_mul(prod, pauli_pow(s, k))
+        if not prod.x_part.is_zero:
+            raise EngineError("diagonal combination kept an X part")
+        c = prod.phase.value
+        if c % 2:
+            raise EngineError("diagonal stabilizer phase is an odd power")
+        if prod.z_part.is_zero and c:
+            raise EngineError("stabilizer contains a nontrivial scalar")
+        diag_gens.append(prod.z_part)
+        diag_phases.append((-(c // 2)) % group.order)
+    offset = solve_character_system(group, diag_gens, diag_phases)
+    if offset is None:
+        raise EngineError("diagonal constraints are unsatisfiable")
+    return OutputDistribution(group, offset, support)
+
+
+def reference_sample(dist: OutputDistribution, rng) -> GroupElement:
+    """One shot: a randrange(|G|) coefficient per generator, in order."""
+    order = dist.group.order
+    acc = list(dist.offset.residues)
+    for h in dist.support.generators:
+        c = rng.randrange(order)
+        for j, v in h.nonzero_residues:
+            acc[j] += c * v
+    return dist.group.element(acc)

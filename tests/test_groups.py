@@ -11,6 +11,7 @@ from normsim.groups import (
     ENUM_BOUND,
     AbelianGroup,
     BoundExceeded,
+    GroupElement,
     GroupMismatchError,
     PhaseExponent,
     character_eval,
@@ -53,6 +54,29 @@ def test_group_rejects_bad_moduli():
         AbelianGroup((-2, 4))
     # order-1 factors are tolerated internally (the parser rejects them)
     assert AbelianGroup((1, 4)).order == 4
+
+
+def test_trivial_group_is_refused_before_the_engine():
+    # the empty product would reach the engine with no stabilizer labels
+    with pytest.raises(ValueError, match="at least one cyclic factor"):
+        AbelianGroup(())
+
+
+def test_element_range_error_names_the_first_bad_residue():
+    g = AbelianGroup((2, 3, 5))
+    assert GroupElement(g, (1, 2, 4)).residues == (1, 2, 4)
+    cases = {
+        (1, 3, 9): "residue 3 out of range for modulus 3",
+        (2, -1, 0): "residue 2 out of range for modulus 2",
+        (0, -1, 7): "residue -1 out of range for modulus 3",
+        (0, 0, 5): "residue 5 out of range for modulus 5",
+    }
+    for residues, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            GroupElement(g, residues)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="residue count does not match group"):
+        GroupElement(g, (0, 0))
 
 
 def test_element_reduction_and_arithmetic():
