@@ -13,14 +13,17 @@ internally. The full grammar:
     gate: pauli a=<int> z=(..) x=(..)
 
 The group line comes first and the state line precedes all gates. Gate
-lines are applied in file order. A group has at most MAX_FACTORS = 1024
-factors: without coset generators the initial stabilizer holds all m
-units, m^2 residues, so a longer line would exhaust memory instead of
-failing validation. The quad directive stores a quadratic function by
-its exponents at the generators (ne), at pairwise sums of generators
-(nee, row-major i<j), and at doubled generators (ndd). The ndd list is
-optional on input; when absent, the smallest consistent doubled values
-are chosen, and serialization always writes them out.
+lines are applied in file order. Every integer (moduli, targets, list
+entries, residues, the Pauli phase a) is written -?[0-9]+: ASCII digits
+with an optional minus sign, no '+' and no '_' separators. A group has
+at most MAX_FACTORS = 1024 factors: without coset generators the
+initial stabilizer holds all m units, m^2 residues, so a longer line
+would exhaust memory instead of failing validation. The quad directive
+stores a quadratic function by its exponents at the generators (ne), at
+pairwise sums of generators (nee, row-major i<j), and at doubled
+generators (ndd). The ndd list is optional on input; when absent, the
+smallest consistent doubled values are chosen, and serialization always
+writes them out.
 """
 
 from __future__ import annotations
@@ -82,7 +85,10 @@ class ParsedCircuit:
     gates: tuple[Gate, ...]
 
 
-_ELEMENT_RE = re.compile(r"\(\s*(-?\d+\s*(?:,\s*-?\d+\s*)*)?\)")
+_ELEMENT_RE = re.compile(r"\(\s*(-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*)?\)")
+# int() also takes '+', '_' and non-ASCII digits; on text made of these
+# characters alone it accepts exactly the grammar's -?[0-9]+ tokens
+_INT_LIST = r"[-0-9,\s]*"
 
 
 def parse_element_literal(text: str) -> tuple[int, ...]:
@@ -142,6 +148,17 @@ def _split_element_list(body: str, line_no: int, what: str) -> list[tuple[int, .
     return out
 
 
+def _checked_literal(
+    group: AbelianGroup, text: str, line_no: int, what: str
+) -> GroupElement:
+    """checked_element of a "(..)" literal; a malformed one is a parse error."""
+    try:
+        residues = parse_element_literal(text)
+    except ValueError:
+        raise CircuitParseError(line_no, f"malformed {what} literal") from None
+    return checked_element(group, residues, line_no, what)
+
+
 def checked_element(
     group: AbelianGroup, residues: Sequence[int], line_no: int, what: str
 ) -> GroupElement:
@@ -160,20 +177,22 @@ def checked_element(
     return group.element(residues)
 
 
-_GROUP_RE = re.compile(r"group:\s*(.+?)\s*$")
+_GROUP_RE = re.compile(r"group:\s*([-0-9\s]+?)\s*$")
 _STATE_RE = re.compile(
     r"state:\s*coset\s+gens\s*=\s*\[(?P<gens>[^\]]*)\]\s*"
     r"shift\s*=\s*(?P<shift>\([^)]*\))\s*$"
 )
-_QFT_RE = re.compile(r"gate:\s*(?P<kind>i?qft)\s+targets\s*=\s*\[(?P<t>[^\]]*)\]\s*$")
+_QFT_RE = re.compile(
+    rf"gate:\s*(?P<kind>i?qft)\s+targets\s*=\s*\[(?P<t>{_INT_LIST})\]\s*$"
+)
 _AUTO_RE = re.compile(r"gate:\s*auto\s+cols\s*=\s*\[(?P<cols>[^\]]*)\]\s*$")
 _QUAD_RE = re.compile(
-    r"gate:\s*quad\s+ne\s*=\s*\[(?P<ne>[^\]]*)\]\s*"
-    r"nee\s*=\s*\[(?P<nee>[^\]]*)\]"
-    r"(?:\s*ndd\s*=\s*\[(?P<ndd>[^\]]*)\])?\s*$"
+    rf"gate:\s*quad\s+ne\s*=\s*\[(?P<ne>{_INT_LIST})\]\s*"
+    rf"nee\s*=\s*\[(?P<nee>{_INT_LIST})\]"
+    rf"(?:\s*ndd\s*=\s*\[(?P<ndd>{_INT_LIST})\])?\s*$"
 )
 _PAULI_RE = re.compile(
-    r"gate:\s*pauli\s+a\s*=\s*(?P<a>-?\d+)\s+"
+    r"gate:\s*pauli\s+a\s*=\s*(?P<a>-?[0-9]+)\s+"
     r"z\s*=\s*(?P<z>\([^)]*\))\s+x\s*=\s*(?P<x>\([^)]*\))\s*$"
 )
 
@@ -222,12 +241,7 @@ def parse_circuit(text: str) -> ParsedCircuit:
                 checked_element(group, res, line_no, "coset generator")
                 for res in _split_element_list(m.group("gens"), line_no, "gens")
             ]
-            shift = checked_element(
-                group,
-                parse_element_literal(m.group("shift")),
-                line_no,
-                "coset shift",
-            )
+            shift = _checked_literal(group, m.group("shift"), line_no, "coset shift")
             coset = CosetInput(group, tuple(gens), shift)
         elif line.startswith("gate:"):
             if group is None or coset is None:
@@ -308,12 +322,8 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
         return QuadraticGate(encoding)
     m = _PAULI_RE.fullmatch(line)
     if m:
-        z = checked_element(
-            group, parse_element_literal(m.group("z")), line_no, "z part"
-        )
-        x = checked_element(
-            group, parse_element_literal(m.group("x")), line_no, "x part"
-        )
+        z = _checked_literal(group, m.group("z"), line_no, "z part")
+        x = _checked_literal(group, m.group("x"), line_no, "x part")
         return PauliGate(
             PauliLabel(PhaseExponent(group, int(m.group("a"))), z, x)
         )

@@ -2,35 +2,33 @@
 
 A quadratic function xi satisfies xi(g+h) = xi(g) xi(h) B(g,h) for a
 symmetric bilinear B. All its values are powers of gamma =
-exp(i*pi/order), so xi is stored as integer exponents:
+exp(i*pi/order), so xi is given by integer exponents
 
-    n_diag[i]   = exponent of xi(e^i)
-    n_pair[..]  = exponent of xi(e^i + e^j) for i < j, row-major
-    n_double[i] = exponent of xi(2 e^i)
+    n(g) = sum_i [g_i n_i + f(g_i) b_ii] + sum_{i<j} g_i g_j b_ij
 
-The pair values fix the off-diagonal of B and the doubled values fix
-its diagonal; diag and pair values alone underdetermine B(e^i, e^i), so
-the doubled generator values are part of the encoding. From these,
-xi(g) is reconstructed for every g via
-
-    n(g) = sum_i [g_i n(e^i) + f(g_i) b_ii] + sum_{i<j} g_i g_j b_ij
-
-with f(n) = n(n-1)/2 and b_ij the exponent of B(e^i, e^j).
+with f(n) = n(n-1)/2, n_i the exponent of xi(e^i) and b_ij that of
+B(e^i, e^j). An encoding stores only the nonzero terms of this sum,
+reduced mod 2*order, so everything that reads it costs what its terms
+cost. The file format instead carries the exponents at the generators
+(n_diag = n_i), at pairwise sums (n_pair = n_i + n_j + b_ij, row-major
+i<j) and at doubled generators (n_double = 2 n_i + b_ii); the
+constructor takes these dense lists and the attributes of those names
+are views that give them back.
 
 Encodings are checked at construction: every b_ij must die when
 multiplied by d_i or d_j (B takes d_i-th-root values in slot i) and
 xi(d_i e^i) must equal 1. These conditions are also sufficient for the
-reconstruction above to satisfy the quadratic identity, so a
-constructed encoding always denotes an actual quadratic function.
+sum above to satisfy the quadratic identity, so a constructed encoding
+always denotes an actual quadratic function.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .groups import AbelianGroup, GroupElement, PhaseExponent, character_exponent
+from .groups import AbelianGroup, GroupElement, PhaseExponent
 from .homs import EndoMatrix
 
 
@@ -43,62 +41,68 @@ def triangle(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _pair_index(m: int, i: int, j: int) -> int:
-    # row-major upper triangle, i < j
-    return i * (2 * m - i - 1) // 2 + (j - i - 1)
-
-
 Term = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadraticEncoding:
-    group: AbelianGroup
-    n_diag: tuple[int, ...]
-    n_pair: tuple[int, ...]
-    n_double: tuple[int, ...]
-    validate: InitVar[bool] = True
+    """`terms` is (diagonal, pairs): (i, n_i, b_ii) in factor order and
+    (i, j, b_ij) for i < j in row-major order, none of them zero."""
 
-    def __post_init__(self, validate: bool):
-        m = self.group.num_factors
-        L = self.group.phase_modulus
-        if len(self.n_diag) != m or len(self.n_double) != m:
+    group: AbelianGroup
+    terms: tuple[tuple[Term, ...], tuple[Term, ...]]
+
+    def __init__(self, group, n_diag, n_pair, n_double, validate: bool = True):
+        m = group.num_factors
+        L = group.phase_modulus
+        if len(n_diag) != m or len(n_double) != m:
             raise ValueError("diagonal exponent count does not match group")
-        if len(self.n_pair) != m * (m - 1) // 2:
+        if len(n_pair) != m * (m - 1) // 2:
             raise ValueError("pair exponent count does not match group")
-        object.__setattr__(self, "n_diag", tuple(int(v) % L for v in self.n_diag))
-        object.__setattr__(self, "n_pair", tuple(int(v) % L for v in self.n_pair))
-        object.__setattr__(self, "n_double", tuple(int(v) % L for v in self.n_double))
+        n1 = [int(v) % L for v in n_diag]
+        it = map(int, n_pair)
+        pairs = [
+            (i, j, b)
+            for i in range(m)
+            for j in range(i + 1, m)
+            if (b := (next(it) - n1[i] - n1[j]) % L)
+        ]
+        diag = [(i, n, int(v) - 2 * n) for i, (n, v) in enumerate(zip(n1, n_double))]
+        self._store(group, diag, pairs, validate)
+
+    def _store(self, group, diag, pairs, validate: bool) -> None:
+        L = group.phase_modulus
+        diag = tuple((i, n % L, b % L) for i, n, b in diag if n % L or b % L)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(
+            self, "terms", (diag, tuple((i, j, b % L) for i, j, b in pairs if b % L))
+        )
         if validate:
             self._check()
 
     @cached_property
-    def terms(self) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
-        """The nonzero terms of n(g), as (diagonal, pairs).
+    def n_diag(self) -> tuple[int, ...]:
+        out = [0] * self.group.num_factors
+        for i, n, _ in self.terms[0]:
+            out[i] = n
+        return tuple(out)
 
-        Diagonal terms are (i, n_i, b_ii) for each factor with n_i or
-        b_ii nonzero; pair terms are (i, j, b_ij) for i < j with
-        b_ij nonzero. Validation, evaluation and bilinear extraction
-        read the encoding only through this table, so their cost
-        scales with the terms present.
-        """
-        L = self.group.phase_modulus
-        m = self.group.num_factors
-        n1, n2 = self.n_diag, self.n_double
-        diag = tuple(
-            (i, n1[i], (n2[i] - 2 * n1[i]) % L)
+    @cached_property
+    def n_double(self) -> tuple[int, ...]:
+        out = [0] * self.group.num_factors
+        for i, n, b in self.terms[0]:
+            out[i] = (2 * n + b) % self.group.phase_modulus
+        return tuple(out)
+
+    @cached_property
+    def n_pair(self) -> tuple[int, ...]:
+        m, n1 = self.group.num_factors, self.n_diag
+        b = {(i, j): v for i, j, v in self.terms[1]}
+        return tuple(
+            (n1[i] + n1[j] + b.get((i, j), 0)) % self.group.phase_modulus
             for i in range(m)
-            if n1[i] or n2[i]
+            for j in range(i + 1, m)
         )
-        pairs = []
-        k = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                b = (self.n_pair[k] - n1[i] - n1[j]) % L
-                if b:
-                    pairs.append((i, j, b))
-                k += 1
-        return diag, tuple(pairs)
 
     def _check(self):
         d = self.group.moduli
@@ -117,15 +121,12 @@ class QuadraticEncoding:
                     f"cross term ({i},{j}) exponent {b} survives factor order"
                 )
 
-    def bilinear_exponent(self, i: int, j: int) -> int:
-        """Exponent of B(e^i, e^j), from the stored generator values."""
-        L = self.group.phase_modulus
-        if i == j:
-            return (self.n_double[i] - 2 * self.n_diag[i]) % L
-        if i > j:
-            i, j = j, i
-        k = _pair_index(self.group.num_factors, i, j)
-        return (self.n_pair[k] - self.n_diag[i] - self.n_diag[j]) % L
+
+def _from_terms(group: AbelianGroup, diag, pairs) -> QuadraticEncoding:
+    """The validated encoding with these terms, ordered as in `terms`."""
+    xi = object.__new__(QuadraticEncoding)
+    xi._store(group, diag, pairs, True)
+    return xi
 
 
 def quad_eval(xi: QuadraticEncoding, g: GroupElement) -> PhaseExponent:
@@ -168,33 +169,21 @@ def extract_endo(xi: QuadraticEncoding) -> EndoMatrix:
     return EndoMatrix(group, tuple(group.element(c) for c in cols))
 
 
-def _embed_single(group: AbelianGroup, factor: int, n1: int, n2: int) -> QuadraticEncoding:
-    """Encoding of a single-factor function: n1 = n(e^t), n2 = n(2 e^t).
-
-    Untouched factors do not interact, so every pair value is the plain
-    sum of the two generator values (zero cross term).
-    """
-    m = group.num_factors
-    n_diag = [0] * m
-    n_double = [0] * m
-    n_diag[factor] = n1
-    n_double[factor] = n2
-    n_pair = [
-        n_diag[i] + n_diag[j] for i in range(m) for j in range(i + 1, m)
-    ]
-    return QuadraticEncoding(group, tuple(n_diag), tuple(n_pair), tuple(n_double))
+def _single(group: AbelianGroup, factor: int, n: int, b: int) -> QuadraticEncoding:
+    """One diagonal term: n = n(e^t) and b = B(e^t, e^t) exponents."""
+    return _from_terms(group, [(range(group.num_factors)[factor], n, b)], [])
 
 
 def quad_character(group: AbelianGroup, factor: int, a: int) -> QuadraticEncoding:
     """x -> exp(2*pi*i*a*x/d) on one factor; a linear character."""
     u = group.phase_modulus // group.moduli[factor]
-    return _embed_single(group, factor, u * a, 2 * u * a)
+    return _single(group, factor, u * a, 0)
 
 
 def quad_square(group: AbelianGroup, factor: int, a: int) -> QuadraticEncoding:
     """x -> exp(2*pi*i*a*x^2/d) on one factor."""
     u = group.phase_modulus // group.moduli[factor]
-    return _embed_single(group, factor, u * a, 4 * u * a)
+    return _single(group, factor, u * a, 2 * u * a)
 
 
 def quad_half(group: AbelianGroup, factor: int, a: int) -> QuadraticEncoding:
@@ -205,13 +194,15 @@ def quad_half(group: AbelianGroup, factor: int, a: int) -> QuadraticEncoding:
     """
     d = group.moduli[factor]
     v = group.order // d  # exponents are in gamma units: i*pi/order
-    return _embed_single(group, factor, v * a * (1 + d), v * a * 2 * (2 + d))
+    return _single(group, factor, v * a * (1 + d), 2 * v * a)
 
 
 def quad_cross(
     group: AbelianGroup, i: int, j: int, c: int
 ) -> QuadraticEncoding:
     """(x_i, x_j) -> exp(2*pi*i*c*x_i*x_j/d_j); needs d_j | d_i*c."""
+    slots = range(group.num_factors)
+    i, j = slots[i], slots[j]
     if i == j:
         raise ValueError("cross term needs two distinct factors")
     d = group.moduli
@@ -219,28 +210,27 @@ def quad_cross(
         raise InvalidQuadratic(
             f"cross coefficient {c} violates d_{i}*c = 0 mod d_{j}"
         )
-    m = group.num_factors
     u = group.phase_modulus // d[j]
-    n_pair = [0] * (m * (m - 1) // 2)
-    n_pair[_pair_index(m, min(i, j), max(i, j))] = u * c
-    return QuadraticEncoding(group, (0,) * m, tuple(n_pair), (0,) * m)
+    return _from_terms(group, [], [(min(i, j), max(i, j), u * c)])
 
 
 def quad_from_endo(endo: EndoMatrix) -> QuadraticEncoding:
-    """The function g -> chi_g(w(g)) for an endomorphism w."""
+    """The function g -> chi_g(w(g)) for an endomorphism w.
+
+    With A the matrix of w and u_k = 2*order/d_k, its terms are
+    n_i = u_i A_ii, b_ii = 2 u_i A_ii and b_ij = u_i A_ij + u_j A_ji,
+    read off the nonzero entries of A.
+    """
     group = endo.group
-    m = group.num_factors
-
-    def val(g: GroupElement) -> int:
-        return character_exponent(g, endo.apply(g))
-
-    units = group.units()
-    n_diag = tuple(val(units[i]) for i in range(m))
-    n_double = tuple(val(units[i] + units[i]) for i in range(m))
-    n_pair = tuple(
-        val(units[i] + units[j]) for i in range(m) for j in range(i + 1, m)
-    )
-    return QuadraticEncoding(group, n_diag, n_pair, n_double)
+    u = [group.phase_modulus // d for d in group.moduli]
+    b: dict[tuple[int, int], int] = {}
+    for j, col in enumerate(endo.columns):
+        for i, a in col.nonzero_residues:
+            key = (min(i, j), max(i, j))
+            b[key] = b.get(key, 0) + u[i] * a
+    terms = sorted(b.items())
+    diag = [(i, n, 2 * n) for (i, j), n in terms if i == j]
+    return _from_terms(group, diag, [(i, j, v) for (i, j), v in terms if i != j])
 
 
 def build_quadratic(group: AbelianGroup, kind: str, **params) -> QuadraticEncoding:

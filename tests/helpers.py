@@ -2,13 +2,17 @@
 
 The package keeps none of these: they enumerate groups, build
 quadratic functions by hand, turn exact phases into floats, conjugate
-one label at a time as the reference for the engine's tableau, or read
+one label at a time as the reference for the engine's tableau, read
 out and sample through PauliLabel and GroupElement arithmetic as the
-reference for the engine's plain-int readout and sampler.
+reference for the engine's plain-int readout and sampler, or store
+quadratic functions by their dense exponent lists as the reference for
+the package's terms-only encoding.
 """
 
 import cmath
 import math
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 from normsim.engine import (
     AutomorphismGate,
@@ -37,8 +41,10 @@ from normsim.pauli import PauliLabel, pauli_identity, pauli_mul, pauli_pow
 from normsim.quadratic import (
     InvalidQuadratic,
     QuadraticEncoding,
+    Term,
     extract_endo,
     quad_eval,
+    triangle,
 )
 
 
@@ -231,3 +237,145 @@ def reference_sample(dist: OutputDistribution, rng) -> GroupElement:
         for j, v in h.nonzero_residues:
             acc[j] += c * v
     return dist.group.element(acc)
+
+
+def _pair_index(m: int, i: int, j: int) -> int:
+    # row-major upper triangle, i < j
+    return i * (2 * m - i - 1) // 2 + (j - i - 1)
+
+
+def bilinear_exponent(xi, i: int, j: int) -> int:
+    """Exponent of B(e^i, e^j), read off the dense exponent lists."""
+    L = xi.group.phase_modulus
+    if i == j:
+        return (xi.n_double[i] - 2 * xi.n_diag[i]) % L
+    if i > j:
+        i, j = j, i
+    k = _pair_index(xi.group.num_factors, i, j)
+    return (xi.n_pair[k] - xi.n_diag[i] - xi.n_diag[j]) % L
+
+
+@dataclass(frozen=True)
+class DenseQuadratic:
+    """A quadratic function stored by all m(m+3)/2 of its exponents.
+
+    n_diag[i] is the exponent of xi(e^i), n_pair the exponents of
+    xi(e^i + e^j) for i < j, row-major, and n_double[i] that of
+    xi(2 e^i); the terms are derived from them.
+    """
+
+    group: AbelianGroup
+    n_diag: tuple[int, ...]
+    n_pair: tuple[int, ...]
+    n_double: tuple[int, ...]
+    validate: InitVar[bool] = True
+
+    def __post_init__(self, validate: bool):
+        m = self.group.num_factors
+        L = self.group.phase_modulus
+        if len(self.n_diag) != m or len(self.n_double) != m:
+            raise ValueError("diagonal exponent count does not match group")
+        if len(self.n_pair) != m * (m - 1) // 2:
+            raise ValueError("pair exponent count does not match group")
+        object.__setattr__(self, "n_diag", tuple(int(v) % L for v in self.n_diag))
+        object.__setattr__(self, "n_pair", tuple(int(v) % L for v in self.n_pair))
+        object.__setattr__(self, "n_double", tuple(int(v) % L for v in self.n_double))
+        if validate:
+            self._check()
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Term, ...], tuple[Term, ...]]:
+        L = self.group.phase_modulus
+        m = self.group.num_factors
+        n1, n2 = self.n_diag, self.n_double
+        diag = tuple(
+            (i, n1[i], (n2[i] - 2 * n1[i]) % L)
+            for i in range(m)
+            if n1[i] or n2[i]
+        )
+        pairs = []
+        k = 0
+        for i in range(m):
+            for j in range(i + 1, m):
+                b = (self.n_pair[k] - n1[i] - n1[j]) % L
+                if b:
+                    pairs.append((i, j, b))
+                k += 1
+        return diag, tuple(pairs)
+
+    def _check(self):
+        d = self.group.moduli
+        L = self.group.phase_modulus
+        diag, pairs = self.terms
+        for i, n, b in diag:
+            if (d[i] * b) % L:
+                raise InvalidQuadratic(
+                    f"cross term ({i},{i}) exponent {b} survives factor order"
+                )
+            if (d[i] * n + triangle(d[i]) * b) % L:
+                raise InvalidQuadratic(f"value at {d[i]}*e^{i} is not 1")
+        for i, j, b in pairs:
+            if (d[i] * b) % L or (d[j] * b) % L:
+                raise InvalidQuadratic(
+                    f"cross term ({i},{j}) exponent {b} survives factor order"
+                )
+
+
+def _dense_single(group: AbelianGroup, factor: int, n1: int, n2: int) -> DenseQuadratic:
+    m = group.num_factors
+    n_diag = [0] * m
+    n_double = [0] * m
+    n_diag[factor] = n1
+    n_double[factor] = n2
+    n_pair = [
+        n_diag[i] + n_diag[j] for i in range(m) for j in range(i + 1, m)
+    ]
+    return DenseQuadratic(group, tuple(n_diag), tuple(n_pair), tuple(n_double))
+
+
+def dense_character(group: AbelianGroup, factor: int, a: int) -> DenseQuadratic:
+    u = group.phase_modulus // group.moduli[factor]
+    return _dense_single(group, factor, u * a, 2 * u * a)
+
+
+def dense_square(group: AbelianGroup, factor: int, a: int) -> DenseQuadratic:
+    u = group.phase_modulus // group.moduli[factor]
+    return _dense_single(group, factor, u * a, 4 * u * a)
+
+
+def dense_half(group: AbelianGroup, factor: int, a: int) -> DenseQuadratic:
+    d = group.moduli[factor]
+    v = group.order // d
+    return _dense_single(group, factor, v * a * (1 + d), v * a * 2 * (2 + d))
+
+
+def dense_cross(group: AbelianGroup, i: int, j: int, c: int) -> DenseQuadratic:
+    if i == j:
+        raise ValueError("cross term needs two distinct factors")
+    d = group.moduli
+    if (d[i] * c) % d[j]:
+        raise InvalidQuadratic(
+            f"cross coefficient {c} violates d_{i}*c = 0 mod d_{j}"
+        )
+    m = group.num_factors
+    u = group.phase_modulus // d[j]
+    n_pair = [0] * (m * (m - 1) // 2)
+    n_pair[_pair_index(m, min(i, j), max(i, j))] = u * c
+    return DenseQuadratic(group, (0,) * m, tuple(n_pair), (0,) * m)
+
+
+def dense_from_endo(endo: EndoMatrix) -> DenseQuadratic:
+    """g -> chi_g(w(g)), evaluated at every generator, pair and double."""
+    group = endo.group
+    m = group.num_factors
+
+    def val(g: GroupElement) -> int:
+        return character_exponent(g, endo.apply(g))
+
+    units = group.units()
+    n_diag = tuple(val(units[i]) for i in range(m))
+    n_double = tuple(val(units[i] + units[i]) for i in range(m))
+    n_pair = tuple(
+        val(units[i] + units[j]) for i in range(m) for j in range(i + 1, m)
+    )
+    return DenseQuadratic(group, n_diag, n_pair, n_double)

@@ -24,6 +24,7 @@ from normsim.engine import (
 )
 from normsim.groups import AbelianGroup
 from normsim.oracle import compare_with_engine
+from normsim.quadratic import quad_character
 
 BELL = """\
 # prepare then entangle
@@ -171,6 +172,49 @@ def test_rejects_bad_elements():
     assert "line 2" in str(e)
 
 
+def test_malformed_element_literals_are_parse_errors():
+    base = "group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
+    bad = [
+        ("group: 2 2\nstate: coset gens=[] shift=(1,,2)\n", 2),
+        (base + "gate: pauli a=0 z=(1;0) x=(0,0)\n", 3),
+        (base + "gate: pauli a=0 z=(1,0) x=(0 0)\n", 3),
+    ]
+    for text, line_no in bad:
+        with pytest.raises(CircuitParseError) as exc:
+            parse_circuit(text)
+        assert exc.value.line_no == line_no
+
+
+def test_integers_are_ascii_digits_with_an_optional_minus():
+    base = "group: 4 4\nstate: coset gens=[] shift=(0,0)\n"
+    bad = [
+        ("group: 2_0\nstate: coset gens=[] shift=(0)\n", 1),
+        ("group: +4\nstate: coset gens=[] shift=(0)\n", 1),
+        ("group: \u0663\nstate: coset gens=[] shift=(0)\n", 1),
+        (base + "gate: qft targets=[+1]\n", 3),
+        (base + "gate: quad ne=[0,0] nee=[1_2]\n", 3),
+        (base + "gate: quad ne=[0,0] nee=[0] ndd=[0,\u0664]\n", 3),
+        ("group: 4 4\nstate: coset gens=[] shift=(\u0663,1)\n", 2),
+        ("group: 4 4\nstate: coset gens=[(1,+1)] shift=(0,0)\n", 2),
+        (base + "gate: auto cols=[(1,0),(0,1_1)]\n", 3),
+        (base + "gate: pauli a=+1 z=(1,0) x=(0,0)\n", 3),
+        (base + "gate: pauli a=1_0 z=(1,0) x=(0,0)\n", 3),
+        (base + "gate: pauli a=0 z=(1,0) x=(0,\uff11)\n", 3),
+    ]
+    for text, line_no in bad:
+        with pytest.raises(CircuitParseError) as exc:
+            parse_circuit(text)
+        assert exc.value.line_no == line_no
+    # minus signs and spaces around tokens stay accepted
+    c = parse_circuit(
+        "group: 4  4\nstate: coset gens=[( 1 , 3 )] shift=(0,-0)\n"
+        "gate: quad ne=[ -8 , 0 ] nee=[ -8 ]\n"
+        "gate: pauli a=-3 z=(1,0) x=(0,1)\n"
+    )
+    assert c.gates[0].encoding == quad_character(c.group, 0, -1)
+    assert c.gates[1].label.phase.value == c.group.phase_modulus - 3
+
+
 def test_rejects_noninvertible_auto():
     base = "group: 2 4\nstate: coset gens=[] shift=(0,0)\n"
     # valid endomorphism, no inverse
@@ -199,6 +243,14 @@ def test_permutation_table_parsing():
         parse_permutation_table(g, "(0) -> (1)\n")  # incomplete
     with pytest.raises(ValueError):
         parse_permutation_table(g, "(0) -> (1)\n(1) -> (1)\n")  # not a bijection
+
+
+def test_permutation_table_integers_are_ascii_digits():
+    g = AbelianGroup((2,))
+    for table in ("(+1) -> (0)\n(0) -> (1)\n", "(\u0661) -> (0)\n(0) -> (1)\n"):
+        with pytest.raises(CircuitParseError) as exc:
+            parse_permutation_table(g, table)
+        assert exc.value.line_no == 1
 
 
 def test_random_instance_seed_stability():

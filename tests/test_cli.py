@@ -150,6 +150,32 @@ def test_missing_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.nc")]) == 65
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "group: 2 2\nstate: coset gens=[] shift=(1,,2)\n",
+        "group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
+        "gate: pauli a=0 z=(1;0) x=(0,0)\n",
+    ],
+    ids=["shift", "pauli"],
+)
+def test_malformed_literal_exits_65_without_traceback(tmp_path, text):
+    f = tmp_path / "bad.nc"
+    f.write_text(text)
+    src = str(Path(normsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "normsim.cli", "support", str(f)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 65, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line" in proc.stderr
+
+
 def test_invalid_circuit_file(tmp_path, capsys):
     f = tmp_path / "bad.nc"
     f.write_text("group: 2\ngate: qft targets=[1]\n")

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from helpers import quad_product, random_endo
+from helpers import bilinear_exponent, quad_product, random_endo
 from normsim.engine import PauliGate, QuadraticGate
 from normsim.groups import AbelianGroup, character_exponent
 from normsim.pauli import pauli_dagger, pauli_label, pauli_mul
@@ -135,7 +135,7 @@ def test_extract_endo_matches_bilinear_exponents(seed):
     for k in range(group.num_factors):
         for l in range(group.num_factors):
             u = L // d[l]
-            b = xi.bilinear_exponent(k, l)
+            b = bilinear_exponent(xi, k, l)
             assert b == dense_b(xi, k, l)
             assert b % u == 0
             assert w.entry(l, k) == b // u
