@@ -12,6 +12,8 @@ import pytest
 
 from normsim.circuits import ParsedCircuit, serialize_circuit
 from normsim.cli import main
+from normsim.engine import simulate
+from normsim.homs import Subgroup, subgroup_contains
 from test_golden import bell, clifford_z2_8, mixed_moduli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,3 +38,26 @@ def test_cli_stdout_is_pinned(capsys, circuit, command):
     assert main([command, str(path), *COMMANDS[command]]) == 0
     expected = (GOLDEN / f"{circuit.__name__}.{command}.txt").read_text()
     assert capsys.readouterr().out == expected
+
+
+def _element(group, text):
+    return group.element([int(v) for v in text.strip().strip("()").split(",")])
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_pinned_cli_output_lies_in_the_output_coset(circuit):
+    """The pinned support prints the engine's coset, and every pinned
+    shot lies in it, so a re-pin moves draws and rows but no coset."""
+    coset, gates = circuit()
+    dist = simulate(coset, gates)
+    g, support = dist.group, dist.support
+    lines = (GOLDEN / f"{circuit.__name__}.support.txt").read_text().splitlines()
+    assert lines[0].startswith("x0=")
+    assert all(line.startswith("h=") for line in lines[1:])
+    pinned = Subgroup(g, tuple(_element(g, line[2:]) for line in lines[1:]))
+    assert all(subgroup_contains(support, h) for h in pinned.generators)
+    assert all(subgroup_contains(pinned, h) for h in support.generators)
+    assert subgroup_contains(support, _element(g, lines[0][3:]) - dist.offset)
+    shots = (GOLDEN / f"{circuit.__name__}.simulate.txt").read_text().splitlines()
+    assert len(shots) == 50
+    assert all(subgroup_contains(support, _element(g, s) - dist.offset) for s in shots)

@@ -18,7 +18,7 @@ from normsim.engine import (
     simulate,
 )
 from normsim.groups import AbelianGroup
-from normsim.homs import EndoMatrix, endo_validate
+from normsim.homs import EndoMatrix, endo_validate, subgroup_contains
 from normsim.pauli import pauli_label
 from normsim.quadratic import quad_cross, quad_half, quad_square
 
@@ -126,3 +126,13 @@ GOLDEN = {
 @pytest.mark.parametrize("circuit", [bell, clifford_z2_8, mixed_moduli])
 def test_seed_7_stream_is_pinned(circuit):
     assert first_shots(circuit()) == GOLDEN[circuit.__name__]
+
+
+@pytest.mark.parametrize("circuit", [bell, clifford_z2_8, mixed_moduli])
+def test_pinned_shots_lie_in_the_output_coset(circuit):
+    """A re-pin may move the draws, never the distribution they come from."""
+    coset, gates = circuit()
+    dist = simulate(coset, gates)
+    for shot in GOLDEN[circuit.__name__]:
+        diff = dist.group.element(shot) - dist.offset
+        assert subgroup_contains(dist.support, diff)
