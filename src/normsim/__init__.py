@@ -37,7 +37,7 @@ from .homs import (
 from .pauli import pauli_dagger, pauli_label
 from .quadratic import InvalidQuadratic, QuadraticEncoding, build_quadratic
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AbelianGroup",

@@ -53,7 +53,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--shots", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("support", help="print the output coset")
+    p = sub.add_parser(
+        "support", help="print the output coset: offset and Howell basis"
+    )
     p.add_argument("file")
 
     p = sub.add_parser("verify", help="compare against the dense oracle")
@@ -122,9 +124,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_support(args) -> int:
     circuit = _load_circuit(args.file)
-    dist = simulate(circuit.coset, circuit.gates)
-    print(f"x0={dist.offset}")
-    for h in dist.support.generators:
+    offset, basis = simulate(circuit.coset, circuit.gates).canonical
+    print(f"x0={offset}")
+    for h in basis.rows:
         print(f"h={h}")
     return EXIT_OK
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from operator import mod, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import (
     ENUM_BOUND,
@@ -25,15 +24,17 @@ from .groups import (
     GroupMismatchError,
     PhaseExponent,
     character_exponent,
+    check_size,
 )
 from .homs import (
     EndoMatrix,
+    HowellBasis,
     Subgroup,
     auto_inverse,
     endo_dual,
+    howell_basis,
     orthogonal_subgroup,
     solve_character_system,
-    subgroup_members,
 )
 from .intlinalg import kernel_basis
 # pauli_dagger, pauli_identity, pauli_mul, pauli_pow, extract_endo and
@@ -41,6 +42,11 @@ from .intlinalg import kernel_basis
 # namespace, so they stay bound
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import InvalidQuadratic, QuadraticEncoding, extract_endo, quad_eval
+
+
+# consecutive Howell rows whose radices multiply to at most this share
+# one precomputed table of their sums in the sampler
+_TABLE_SIZE = 256
 
 
 class EngineError(RuntimeError):
@@ -287,7 +293,12 @@ def conjugate_circuit(labels: StabilizerSet, gates: Iterable[Gate]) -> Stabilize
 
 @dataclass(frozen=True)
 class OutputDistribution:
-    """Uniform distribution over support + offset under full measurement."""
+    """Uniform distribution over support + offset under full measurement.
+
+    `offset` and `support` are kept as readout found them; sampling,
+    `members` and `normsim support` go through `canonical`, so they
+    depend on the coset alone.
+    """
 
     group: AbelianGroup
     offset: GroupElement
@@ -300,40 +311,73 @@ class OutputDistribution:
                 f"{self.offset.group} and {self.support.group}"
             )
 
-    def members(self, bound: int = ENUM_BOUND) -> frozenset[GroupElement]:
-        return frozenset(
-            self.offset + h for h in subgroup_members(self.support, bound)
-        )
+    @cached_property
+    def canonical(self) -> tuple[GroupElement, HowellBasis]:
+        """(x0, B): the Howell basis B of the support and the offset
+        reduced against it. Equal cosets give equal forms, whatever
+        generators and offset they were read out with."""
+        basis = howell_basis(self.support)
+        return basis.reduce(self.offset), basis
 
     @cached_property
-    def _packed(self) -> tuple[int, list, list, int]:
-        """(offset, [(ord(h), h)], [(shift, d_j)], mask), residue j of offset
-        and each h in field j; a field holds o_j + sum (ord(h) - 1) h_j,
-        so no shot's sum carries across fields."""
+    def _packed(self) -> tuple[int, int, list, Callable[[int], tuple[int, ...]]]:
+        """(|S|, x0, steps, split) with residue j packed in field j.
+
+        A step (n, table, h) takes the next mixed-radix digit t < n and
+        adds table[t], the precomputed sum over a run of consecutive rows
+        with radix product n <= _TABLE_SIZE, or t*h for one wider row. A
+        field holds x0_j + sum_i (n_i - 1) row_ij, so no shot's sum
+        carries across fields; split reads the residues back out, byte
+        by byte when every field fits in one.
+        """
+        x0, basis = self.canonical
         d = self.group.moduli
-        hs = [h.residues for h in self.support.generators]
-        orders = [lcm(*(dj // gcd(dj, v) for dj, v in zip(d, h))) for h in hs]
-        top = [o + sum((n - 1) * h[j] for n, h in zip(orders, hs))
-               for j, o in enumerate(self.offset.residues)]
-        w = max(top).bit_length()
-        fields = [(j * w, dj) for j, dj in enumerate(d)]
+        rows, radices = [h.residues for h in basis.rows], basis.radices
+        top = [o + sum((n - 1) * h[j] for n, h in zip(radices, rows))
+               for j, o in enumerate(x0.residues)]
+        w = max(8, max(top).bit_length())
+        shifts = range(0, w * len(d), w)
 
         def pack(v):
-            return sum(r << s for r, (s, _) in zip(v, fields))
+            return sum(r << s for r, s in zip(v, shifts))
 
-        gens = [(n, pack(h)) for n, h in zip(orders, hs)]
-        return pack(self.offset.residues), gens, fields, (1 << w) - 1
+        if w == 8:
+            def split(acc):
+                return tuple(map(mod, acc.to_bytes(len(d), "little"), d))
+        else:
+            def split(acc, mask=(1 << w) - 1):
+                return tuple([(acc >> s & mask) % dj for s, dj in zip(shifts, d)])
+
+        steps: list[tuple[int, list[int] | None, int]] = []
+        for h, n in zip(map(pack, rows), radices):
+            if steps and steps[-1][0] * n <= _TABLE_SIZE:
+                # the run's index goes on as t + k*c, the first row lowest
+                k, table, _ = steps.pop()
+                steps.append((k * n, [v + c * h for c in range(n) for v in table], 0))
+            elif n <= _TABLE_SIZE:
+                steps.append((n, [c * h for c in range(n)], 0))
+            else:
+                steps.append((n, None, h))
+        return basis.order, pack(x0.residues), steps, split
+
+    def _decode(self, r: int) -> GroupElement:
+        """x0 + sum_i c_i row_i for r = c_1 + n_1 (c_2 + n_2 (...)) < |S|."""
+        _, acc, steps, split = self._packed
+        for n, table, h in steps:
+            r, t = divmod(r, n)
+            acc += table[t] if table is not None else t * h
+        return GroupElement(self.group, split(acc))
+
+    def members(self, bound: int = ENUM_BOUND) -> frozenset[GroupElement]:
+        """The coset, as the decode of every r < |S|; BoundExceeded above bound."""
+        size = self._packed[0]
+        check_size(size, bound, "support")
+        return frozenset(map(self._decode, range(size)))
 
     def sample(self, rng: random.Random) -> GroupElement:
-        # randrange is exact rejection sampling, unbiased for any order;
-        # c and c mod ord(h) give the same c*h
-        acc, gens, fields, mask = self._packed
-        order, draw = self.group.order, rng.randrange
-        for n, h in gens:
-            acc += draw(order) % n * h
-        return GroupElement(
-            self.group, tuple([(acc >> s & mask) % dj for s, dj in fields])
-        )
+        # one randrange(|S|) per shot, exact rejection sampling in the
+        # stdlib; the decode is a bijection onto the coset
+        return self._decode(rng.randrange(self._packed[0]))
 
 
 def output_distribution(labels: StabilizerSet) -> OutputDistribution:
@@ -395,7 +439,13 @@ def simulate(coset: CosetInput, gates: Sequence[Gate]) -> OutputDistribution:
 def sample_stream(
     dist: OutputDistribution, shots: int, seed: int | None
 ) -> Iterator[GroupElement]:
-    """Deterministic per seed; one independent draw per shot."""
+    """Shots from random.Random(seed), one randrange(|S|) draw each.
+
+    Each draw is decoded over the canonical form of the output coset, so
+    the stream is a function of the coset and the seed alone: any
+    generators and offset of the same coset give the same shots. Streams
+    moved once, in 0.2.0, from one draw per support generator to this.
+    """
     rng = random.Random(seed)
     for _ in range(shots):
         yield dist.sample(rng)

@@ -29,14 +29,17 @@ class BoundExceeded(ValueError):
     """Group order too large to enumerate."""
 
 
+def check_size(size: int, bound: int, what: str = "group"):
+    """Refuse to enumerate more than min(bound, ENUM_BOUND) elements."""
+    limit = min(bound, ENUM_BOUND)
+    if size > limit:
+        capped = "" if limit == bound else f" (the requested {bound} is capped)"
+        raise BoundExceeded(f"{what} order {size} exceeds bound {limit}{capped}")
+
+
 def check_bound(group: AbelianGroup, bound: int):
     """Refuse a group of order above min(bound, ENUM_BOUND)."""
-    limit = min(bound, ENUM_BOUND)
-    if group.order > limit:
-        capped = "" if limit == bound else f" (the requested {bound} is capped)"
-        raise BoundExceeded(
-            f"group order {group.order} exceeds bound {limit}{capped}"
-        )
+    check_size(group.order, bound)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Endomorphisms of Z_d1 x ... x Z_dm as integer matrices, plus subgroup
-machinery built on the Diophantine solver.
+machinery built on the Diophantine solver and the Howell form.
 
 A homomorphism is fixed by the images of the factor generators e^i; the
 images form the columns of a matrix whose row k lives in Z_{d_k}. The
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_bound
+from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_size
 from .intlinalg import howell_form, kernel_basis, solve_diophantine
 
 
@@ -239,29 +239,75 @@ def solve_character_system(
     return group.element(sol.particular)
 
 
+@dataclass(frozen=True)
+class HowellBasis:
+    """The canonical generators of a subgroup H of G.
+
+    Row i is nonzero from its pivot column c_i on, and its pivot residue
+    p_i divides d_{c_i}; pivot columns strictly increase, and every
+    earlier row's residue in column c_i lies in [0, p_i). Each h in H is
+    sum_i c_i row_i for exactly one c with 0 <= c_i < d_{c_i} / p_i, the
+    radix of row i, so |H| is the product of the radices. Equal
+    subgroups have equal bases, whatever generators they came from.
+    """
+
+    group: AbelianGroup
+    rows: tuple[GroupElement, ...]
+    pivots: tuple[int, ...]
+
+    @property
+    def radices(self) -> tuple[int, ...]:
+        d = self.group.moduli
+        return tuple(d[c] // h.residues[c] for c, h in zip(self.pivots, self.rows))
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.radices)
+
+    def reduce(self, g: GroupElement) -> GroupElement:
+        """The canonical representative of the coset g + H."""
+        d = self.group.moduli
+        x = g.residues
+        for c, h in zip(self.pivots, self.rows):
+            q = x[c] // h.residues[c]
+            if q:
+                x = [(a - q * b) % dj for a, b, dj in zip(x, h.residues, d)]
+        return self.group.element(x)
+
+
+def howell_basis(H: Subgroup) -> HowellBasis:
+    """The Howell form of H embedded in Z_N^m, scaled back to G.
+
+    With N = lcm(d), x_i -> (N/d_i) x_i embeds G into Z_N^m as a
+    subgroup, so the Howell rows of the embedded generators
+    (intlinalg.howell_form) are multiples of N/d_i in column i, and
+    dividing them back out gives rows of G with the same properties.
+    """
+    group = H.group
+    d = group.moduli
+    N = math.lcm(*d)
+    scale = [N // dj for dj in d]
+    embedded = [[s * v for s, v in zip(scale, h.residues)] for h in H.generators]
+    rows = [
+        group.element([v // s for v, s in zip(row, scale)])
+        for row in howell_form(embedded, N)
+    ]
+    pivots = tuple(h.nonzero_residues[0][0] for h in rows)
+    return HowellBasis(group, tuple(rows), pivots)
+
+
 def subgroup_members(
     H: Subgroup, bound: int = ENUM_BOUND
 ) -> frozenset[GroupElement]:
-    """Exhaustive closure of the generating set (test utility)."""
-    group = H.group
-    check_bound(group, bound)
-    members = {group.zero()}
-    frontier = [group.zero()]
-    while frontier:
-        cur = frontier.pop()
-        for gen in H.generators:
-            nxt = cur + gen
-            if nxt not in members:
-                members.add(nxt)
-                frontier.append(nxt)
+    """Every element of H once: its Howell basis in mixed radix (test utility)."""
+    basis = howell_basis(H)
+    check_size(basis.order, bound, "subgroup")
+    members = [H.group.zero()]
+    for h, n in zip(basis.rows, basis.radices):
+        members = [g + c * h for c in range(n) for g in members]
     return frozenset(members)
 
 
 def subgroup_contains(H: Subgroup, g: GroupElement) -> bool:
-    """Membership via solvability of sum_i c_i h^i = g mod the moduli."""
-    gens = H.generators
-    rows = [[h.residues[j] for h in gens] for j in range(H.group.num_factors)]
-    sol = solve_diophantine(
-        rows, list(g.residues), num_cols=len(gens), moduli=H.group.moduli
-    )
-    return sol is not None
+    """Membership: g reduces to zero against the Howell basis of H."""
+    return howell_basis(H).reduce(g).is_zero

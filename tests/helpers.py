@@ -3,8 +3,9 @@
 The package keeps none of these: they enumerate groups, build
 quadratic functions by hand, turn exact phases into floats, conjugate
 one label at a time as the reference for the engine's tableau, read
-out and sample through PauliLabel and GroupElement arithmetic as the
-reference for the engine's plain-int readout and sampler, or store
+out through PauliLabel arithmetic as the reference for the engine's
+plain-int readout, decode a draw with GroupElement arithmetic as the
+reference for the packed sampler, enumerate a span by search, or store
 quadratic functions by their dense exponent lists as the reference for
 the package's terms-only encoding.
 """
@@ -229,14 +230,29 @@ def reference_output_distribution(labels) -> OutputDistribution:
 
 
 def reference_sample(dist: OutputDistribution, rng) -> GroupElement:
-    """One shot: a randrange(|G|) coefficient per generator, in order."""
-    order = dist.group.order
-    acc = list(dist.offset.residues)
-    for h in dist.support.generators:
-        c = rng.randrange(order)
-        for j, v in h.nonzero_residues:
-            acc[j] += c * v
-    return dist.group.element(acc)
+    """One shot: one randrange(|S|), split into mixed-radix digits c_i,
+    the first row lowest, and x0 + sum_i c_i row_i summed over the
+    canonical rows with GroupElement arithmetic."""
+    offset, basis = dist.canonical
+    r = rng.randrange(basis.order)
+    for h, n in zip(basis.rows, basis.radices):
+        r, c = divmod(r, n)
+        offset = offset + c * h
+    return offset
+
+
+def span_closure(moduli, gens) -> set[tuple[int, ...]]:
+    """Every residue tuple of <gens> in Z_d1 x ... x Z_dm, by search."""
+    zero = (0,) * len(moduli)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        cur = frontier.pop()
+        for g in gens:
+            nxt = tuple((a + b) % d for a, b, d in zip(cur, g, moduli))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def _pair_index(m: int, i: int, j: int) -> int:

@@ -2,8 +2,12 @@
 
 Each circuit is stored under golden/ as the text `serialize_circuit`
 writes, next to the exact stdout of `normsim simulate FILE --shots 50
---seed 7` and `normsim support FILE`. Any change to parsing, conjugation,
-readout, the sampler or element printing that moves a byte fails here.
+--seed 7` and `normsim support FILE`. `support` prints the canonical
+form of the output coset and `simulate` one draw per shot decoded over
+it, so both are functions of the coset (and the seed) alone. Any
+change to parsing, the coset an engine reads out, the sampler or
+element printing that moves a byte fails here. Streams and `support`
+output moved once, in 0.2.0, to this one-draw, canonical form.
 """
 
 from pathlib import Path

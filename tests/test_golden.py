@@ -1,9 +1,12 @@
 """Golden seeded sample streams.
 
-`sample_stream` promises the same shots for the same seed on any
-platform and across versions. The first 20 shots at seed 7 of three
-fixed circuits are pinned here as literals, so a change to gate
-conjugation, readout or the sampler that moves a stream fails here.
+`sample_stream` makes one draw per shot and decodes it over the
+canonical form of the output coset, so a stream is a function of the
+coset and the seed alone, on any platform. The first 20 shots at seed 7
+of three fixed circuits are pinned here as literals: a change to gate
+conjugation or readout that keeps every coset keeps these shots, and a
+change that moves a coset or the sampler fails here. Streams moved
+once, in 0.2.0, from one draw per support generator to one per shot.
 """
 
 import pytest

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import element_at, span_closure
 from normsim.groups import AbelianGroup, character_exponent
 from normsim.homs import (
     EndoMatrix,
@@ -228,6 +229,32 @@ def test_subgroup_contains():
     assert subgroup_contains(h, g.zero())
     assert not subgroup_contains(h, g.element((1, 0)))
     assert not subgroup_contains(h, g.element((2, 1)))
+
+
+def test_subgroup_contains_matches_enumeration():
+    """Howell reduction against search, on 320 random subgroups with
+    |G| <= 4096, for every element of G when |G| <= 64 and otherwise
+    for 40 random elements plus 10 members."""
+    rng = random.Random(2718)
+    for _ in range(320):
+        while True:
+            mods = tuple(rng.randint(2, 18) for _ in range(rng.randint(1, 4)))
+            g = AbelianGroup(mods)
+            if g.order <= 4096:
+                break
+        gens = tuple(
+            g.element(tuple(rng.randrange(d) for d in mods))
+            for _ in range(rng.randint(0, 4))
+        )
+        span = span_closure(mods, [h.residues for h in gens])
+        if g.order <= 64:
+            probes = list(g.elements())
+        else:
+            probes = [element_at(g, rng.randrange(g.order)) for _ in range(40)]
+            probes += [g.element(v) for v in rng.sample(sorted(span), min(10, len(span)))]
+        h = Subgroup(g, gens)
+        for x in probes:
+            assert subgroup_contains(h, x) == (x.residues in span)
 
 
 def test_character_system_simple():

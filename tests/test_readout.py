@@ -1,11 +1,12 @@
-"""Plain-int readout and packed sampler against the label-algebra reference.
+"""Plain-int readout and packed sampler against slow references.
 
-`reference_output_distribution` and `reference_sample` in helpers.py
-read out through `pauli_mul`/`pauli_pow` products and sample residue by
-residue through `GroupElement`, as the engine did before. The engine
-must give the same offset, the same support generators, the same shots
-and leave the generator in the same state, on random circuits of every
-gate kind and on distributions built by hand.
+`reference_output_distribution` in helpers.py reads out through
+`pauli_mul`/`pauli_pow` products, as the engine did before, and
+`reference_sample` decodes the shot's one draw over the canonical rows
+with `GroupElement` arithmetic. The engine must give the same offset,
+the same support generators, the same shots and leave the generator in
+the same state, on random circuits of every gate kind and on
+distributions built by hand.
 """
 
 import random
@@ -71,7 +72,7 @@ def _dist(moduli, offset, gens):
 
 
 HAND_BUILT = {
-    # the zero generator has order 1 but still takes one draw
+    # the zero generator adds no canonical row
     "zero_generator": _dist((4, 6, 9), (1, 2, 3), [(2, 0, 3), (0, 0, 0), (1, 1, 1)]),
     "empty_support": _dist((16, 10**9 + 7), (5, 12345), []),
     "order_one_factor": _dist((1, 4, 1, 27), (0, 3, 0, 26), [(0, 1, 0, 9), (0, 2, 0, 1)]),
