@@ -84,44 +84,44 @@ def first_shots(circuit):
 
 GOLDEN = {
     "bell": [
+        (1, 1), (0, 0), (1, 1), (0, 0), (0, 0),
+        (0, 0), (1, 1), (0, 0), (0, 0), (0, 0),
         (0, 0), (1, 1), (1, 1), (0, 0), (0, 0),
-        (0, 0), (0, 0), (0, 0), (1, 1), (0, 0),
-        (0, 0), (1, 1), (1, 1), (0, 0), (1, 1),
-        (0, 0), (1, 1), (0, 0), (0, 0), (1, 1),
+        (0, 0), (1, 1), (0, 0), (0, 0), (0, 0),
     ],
     "clifford_z2_8": [
-        (1, 0, 0, 0, 1, 0, 0, 1), (1, 0, 1, 1, 1, 1, 0, 1),
-        (1, 1, 1, 1, 0, 0, 0, 1), (0, 1, 1, 1, 0, 1, 1, 1),
-        (0, 1, 0, 0, 1, 0, 0, 1), (0, 1, 0, 0, 0, 0, 1, 1),
-        (0, 0, 1, 1, 1, 0, 0, 1), (0, 0, 1, 1, 0, 1, 0, 1),
-        (1, 1, 1, 1, 0, 1, 1, 1), (1, 0, 0, 0, 0, 0, 1, 1),
-        (0, 1, 1, 1, 0, 0, 0, 1), (1, 1, 0, 0, 1, 1, 1, 1),
-        (0, 0, 1, 1, 1, 1, 0, 1), (1, 0, 1, 1, 1, 1, 1, 1),
-        (1, 1, 0, 0, 1, 0, 1, 1), (0, 0, 1, 1, 1, 0, 1, 1),
-        (1, 0, 1, 1, 1, 0, 0, 1), (0, 0, 1, 1, 1, 0, 1, 1),
-        (0, 0, 1, 1, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0, 0, 1),
+        (1, 0, 0, 0, 1, 0, 1, 1), (1, 1, 0, 0, 0, 1, 0, 1),
+        (0, 1, 0, 0, 0, 1, 1, 1), (0, 1, 1, 1, 0, 0, 0, 1),
+        (1, 0, 0, 0, 1, 0, 0, 1), (0, 0, 1, 1, 1, 0, 0, 1),
+        (0, 1, 1, 1, 1, 0, 1, 1), (1, 1, 1, 1, 0, 0, 0, 1),
+        (1, 1, 0, 0, 1, 1, 0, 1), (0, 0, 1, 1, 0, 0, 0, 1),
+        (1, 1, 0, 0, 1, 0, 0, 1), (1, 1, 1, 1, 0, 1, 1, 1),
+        (1, 0, 1, 1, 0, 1, 1, 1), (0, 0, 0, 0, 1, 0, 0, 1),
+        (0, 1, 1, 1, 1, 1, 0, 1), (1, 1, 0, 0, 1, 0, 0, 1),
+        (0, 1, 1, 1, 0, 1, 1, 1), (1, 1, 1, 1, 0, 0, 0, 1),
+        (1, 1, 1, 1, 1, 0, 0, 1), (0, 0, 1, 1, 1, 1, 0, 1),
     ],
     "mixed_moduli": [
-        (3, 0, 944581693645, 5, 420305067),
-        (3, 4, 858034655143, 2, 799030709),
-        (0, 3, 856541403560, 2, 264778856),
-        (2, 3, 139075294799, 8, 253332197),
-        (3, 5, 18125493728, 8, 19841323),
-        (0, 4, 3586460460, 5, 356904630),
-        (0, 3, 640822469411, 8, 887607286),
-        (3, 0, 966852799864, 2, 995315234),
-        (3, 4, 838070861136, 5, 421042258),
-        (0, 0, 592055665219, 8, 801848109),
-        (0, 5, 273509480203, 8, 105428919),
-        (2, 4, 908840334163, 5, 853124694),
-        (2, 5, 802723098212, 5, 193386987),
-        (0, 3, 650833619497, 5, 428692408),
-        (3, 5, 1039592601005, 2, 347841912),
-        (2, 4, 928692455146, 8, 461025614),
-        (1, 0, 642021853000, 2, 881038018),
-        (2, 2, 616806542329, 5, 72353558),
-        (2, 4, 481264842259, 2, 265062571),
-        (0, 5, 468420010262, 2, 9119381),
+        (0, 4, 269925063895, 5, 287996726),
+        (2, 5, 564143027957, 8, 92193349),
+        (1, 1, 988568685274, 5, 968630166),
+        (0, 1, 771700879251, 8, 164052626),
+        (2, 0, 944075624185, 5, 133383101),
+        (1, 0, 992420733706, 8, 118127377),
+        (3, 5, 135573703389, 2, 757208313),
+        (0, 3, 128142065350, 8, 422221069),
+        (1, 1, 255932300615, 5, 800014463),
+        (0, 5, 546202489926, 8, 224754269),
+        (3, 3, 118257652140, 8, 345023913),
+        (3, 5, 768376613090, 2, 710745288),
+        (3, 1, 401411721730, 2, 113843749),
+        (1, 0, 269083102994, 2, 947494662),
+        (0, 1, 63472529934, 8, 816149044),
+        (0, 4, 501039651403, 8, 888799615),
+        (1, 0, 1077962624702, 8, 865173868),
+        (0, 2, 1084722906894, 5, 474259219),
+        (0, 4, 549000584982, 2, 156178194),
+        (2, 3, 860334762517, 2, 655680430),
     ],
 }
 
