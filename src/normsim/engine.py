@@ -32,7 +32,6 @@ from .homs import (
     Subgroup,
     auto_inverse,
     endo_dual,
-    howell_basis,
     orthogonal_subgroup,
     solve_character_system,
 )
@@ -316,7 +315,7 @@ class OutputDistribution:
         """(x0, B): the Howell basis B of the support and the offset
         reduced against it. Equal cosets give equal forms, whatever
         generators and offset they were read out with."""
-        basis = howell_basis(self.support)
+        basis = self.support.howell
         return basis.reduce(self.offset), basis
 
     @cached_property

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_size
-from .intlinalg import howell_form, kernel_basis, solve_diophantine
+from .intlinalg import howell_form, kernel_basis, solve_diophantine, solve_mod
 
 
 class InvalidEndomorphism(ValueError):
@@ -114,45 +115,25 @@ def auto_inverse(A: EndoMatrix) -> EndoMatrix | None:
         d_j y_j = 0                    for each j  (B is a homomorphism)
 
     Over Z_N these say y M = (s_k e_k | 0) for the m x 2m matrix
-    M = [A | diag(d)], whose row j is (row j of A | d_j e_j). The y with
-    d_j y_j = 0 are the homomorphisms G -> Z_N, and y -> y A is a
-    bijection on them exactly when A is, so A is invertible exactly
-    when y M = 0 forces y = 0. One Howell form of [M | I_m] answers all
-    m rows: its rows that vanish on the M block span that kernel, and
-    greedy reduction of (s_k e_k | 0 | 0) against the other rows leaves
-    (0 | 0 | -y). The result is checked exactly against A before it is
-    returned.
+    M = [A | diag(d)]. The y with d_j y_j = 0 are the homomorphisms
+    G -> Z_N, and y -> y A is a bijection on them exactly when A is, so
+    A is invertible exactly when y M = 0 forces y = 0. One solve_mod of
+    M^T y = (s_k e_k | 0) answers all m rows and that question. The
+    result is checked exactly against A before it is returned.
     """
     group = A.group
     d = group.moduli
     m = group.num_factors
     N = math.lcm(*d)
-    width = 2 * m
-    rows = []
-    for j in range(m):
-        row = [A.entry(j, i) for i in range(m)] + [0] * width
-        row[m + j] = d[j]
-        row[width + j] = 1
-        rows.append(row)
-    howell = [
-        (next(c for c, v in enumerate(r) if v), r) for r in howell_form(rows, N)
-    ]
-    if any(c >= width for c, _ in howell):
-        return None  # some y != 0 has y M = 0
+    rows = [list(c.residues) for c in A.columns]
+    rows += [[dj * (i == j) for i in range(m)] for j, dj in enumerate(d)]
+    targets = [[N // dk * (i == k) for i in range(2 * m)] for k, dk in enumerate(d)]
+    ys, kernel = solve_mod(rows, targets, N)
+    if kernel or None in ys:
+        return None  # some y != 0 has y M = 0, or a row has no solution
     inv_rows = []
-    for k in range(m):
+    for k, y in enumerate(ys):
         s = N // d[k]
-        v = [0] * (3 * m)
-        v[k] = s
-        for c, r in howell:
-            if v[c]:
-                q, rem = divmod(v[c], r[c])
-                if rem:
-                    return None
-                v = [(x - q * y) % N for x, y in zip(v, r)]
-        if any(v[:width]):
-            return None
-        y = [-x % N for x in v[width:]]
         if any(x % s for x in y):
             raise ArithmeticError(f"row {k} of the inverse is not a multiple of {s}")
         inv_rows.append([x // s % d[k] for x in y])
@@ -181,35 +162,45 @@ class Subgroup:
             if g.group != self.group:
                 raise ValueError("generator belongs to a different group")
 
+    @cached_property
+    def howell(self) -> HowellBasis:
+        """The Howell basis, built once: x_i -> (N/d_i) x_i, N = lcm(d),
+        embeds G in Z_N^m, so the Howell rows of the embedded generators
+        are multiples of N/d_i in column i and divide back into G."""
+        d = self.group.moduli
+        N = math.lcm(*d)
+        scale = [N // dj for dj in d]
+        embedded = [[s * v for s, v in zip(scale, h.residues)] for h in self.generators]
+        rows = [
+            self.group.element([v // s for v, s in zip(row, scale)])
+            for row in howell_form(embedded, N)
+        ]
+        pivots = tuple(h.nonzero_residues[0][0] for h in rows)
+        return HowellBasis(self.group, tuple(rows), pivots)
+
 
 def _character_rows(group: AbelianGroup, gens: Sequence[GroupElement]):
-    """One row per h, with chi_h(g) = exp(2*pi*i * (row . g) / order)."""
-    d = group.moduli
-    order = group.order
-    return [[order // dj * hj for dj, hj in zip(d, h.residues)] for h in gens]
+    """(N, rows) with N = lcm(d) and one row per h, taken mod N, such that
+    chi_h(g) = exp(2*pi*i * (row . g) / N)."""
+    N = math.lcm(*group.moduli)
+    return N, [[N // dj * hj for dj, hj in zip(group.moduli, h.residues)] for h in gens]
 
 
 def orthogonal_subgroup(H: Subgroup) -> Subgroup:
     """Generators of {g : chi_g(h) = 1 for all h in H}.
 
-    The condition on g is the congruence
-    sum_j (order * h_j / d_j) g_j = 0 mod order for each generator h;
-    the kernel of that system, reduced mod the moduli, generates the
-    orthogonal.
+    The condition on g is the congruence sum_j (N h_j / d_j) g_j = 0
+    mod N = lcm(d) for each generator h; the kernel of that system,
+    reduced mod the moduli, generates the orthogonal.
     """
     group = H.group
     gens = H.generators
     if not gens:
         return Subgroup(group, tuple(group.units()))
-    basis = kernel_basis(
-        _character_rows(group, gens), moduli=[group.order] * len(gens)
-    )
-    out = []
-    for vec in basis:
-        g = group.element(vec)
-        if not g.is_zero:
-            out.append(g)
-    return Subgroup(group, tuple(out))
+    N, rows = _character_rows(group, gens)
+    basis = kernel_basis(rows, moduli=[N] * len(gens))
+    perp = (group.element(vec) for vec in basis)
+    return Subgroup(group, tuple(g for g in perp if not g.is_zero))
 
 
 def solve_character_system(
@@ -219,8 +210,11 @@ def solve_character_system(
 ) -> GroupElement | None:
     """Find g with chi_{h^k}(g) = exp(2*pi*i*s_k/order) for every k.
 
-    `phases` holds the s_k as integers mod order. Returns None when the
-    constraints are unsatisfiable. With no constraints, returns 0.
+    `phases` holds the s_k as integers mod order. A character value is
+    an N-th root of unity, N = lcm(d), so there is no solution unless
+    order/N divides every s_k; the quotients are the right-hand side of
+    the _character_rows system mod N. Returns None when the constraints
+    are unsatisfiable. With no constraints, returns 0.
     """
     if len(gens) != len(phases):
         raise ValueError("constraint count mismatch")
@@ -228,12 +222,12 @@ def solve_character_system(
         return group.zero()
     if any(h.group != group for h in gens):
         raise ValueError("constraint element belongs to a different group")
-    sol = solve_diophantine(
-        _character_rows(group, gens),
-        [int(s) for s in phases],
-        num_cols=group.num_factors,
-        moduli=[group.order] * len(gens),
-    )
+    N, rows = _character_rows(group, gens)
+    q = group.order // N
+    if any(int(s) % q for s in phases):
+        return None
+    rhs = [int(s) // q for s in phases]
+    sol = solve_diophantine(rows, rhs, group.num_factors, [N] * len(gens))
     if sol is None:
         return None
     return group.element(sol.particular)
@@ -275,32 +269,11 @@ class HowellBasis:
         return self.group.element(x)
 
 
-def howell_basis(H: Subgroup) -> HowellBasis:
-    """The Howell form of H embedded in Z_N^m, scaled back to G.
-
-    With N = lcm(d), x_i -> (N/d_i) x_i embeds G into Z_N^m as a
-    subgroup, so the Howell rows of the embedded generators
-    (intlinalg.howell_form) are multiples of N/d_i in column i, and
-    dividing them back out gives rows of G with the same properties.
-    """
-    group = H.group
-    d = group.moduli
-    N = math.lcm(*d)
-    scale = [N // dj for dj in d]
-    embedded = [[s * v for s, v in zip(scale, h.residues)] for h in H.generators]
-    rows = [
-        group.element([v // s for v, s in zip(row, scale)])
-        for row in howell_form(embedded, N)
-    ]
-    pivots = tuple(h.nonzero_residues[0][0] for h in rows)
-    return HowellBasis(group, tuple(rows), pivots)
-
-
 def subgroup_members(
     H: Subgroup, bound: int = ENUM_BOUND
 ) -> frozenset[GroupElement]:
     """Every element of H once: its Howell basis in mixed radix (test utility)."""
-    basis = howell_basis(H)
+    basis = H.howell
     check_size(basis.order, bound, "subgroup")
     members = [H.group.zero()]
     for h, n in zip(basis.rows, basis.radices):
@@ -310,4 +283,4 @@ def subgroup_members(
 
 def subgroup_contains(H: Subgroup, g: GroupElement) -> bool:
     """Membership: g reduces to zero against the Howell basis of H."""
-    return howell_basis(H).reduce(g).is_zero
+    return H.howell.reduce(g).is_zero

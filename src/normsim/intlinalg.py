@@ -1,15 +1,18 @@
 """Exact integer linear algebra: linear Diophantine and congruence systems.
 
-Matrices are lists of rows of unbounded Python integers. A system is
-A x = b, with row i taken either exactly or, when `moduli` are given,
-mod d_i. The solver returns one particular solution plus a lattice basis
-of the kernel, so the full solution set is particular + Z-span(kernel).
-`howell_form` reduces a matrix over Z_N to its Howell form, with every
-entry kept in [0, N).
+Matrices are lists of rows of unbounded Python integers. Every
+congruence system goes through one primitive, `solve_mod`: A x = b mod
+N for any number of right-hand sides, by a Howell elimination over Z_N
+that keeps every entry in [0, N). `solve_diophantine` takes a system
+exactly over the integers, where the solution set is particular +
+Z-span(kernel), or with row i mod d_i, which it scales into one system
+mod N = lcm(d) whose solution set is particular + Z-span(kernel) +
+N*Z^m. `howell_form` reduces a matrix over Z_N to its Howell form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -19,7 +22,8 @@ IntMatrix = Sequence[Sequence[int]]
 
 @dataclass(frozen=True)
 class DiophantineSolution:
-    """All integer solutions of A x = b: particular + Z-span of kernel."""
+    """All integer solutions of A x = b: particular + Z-span of kernel,
+    plus N*Z^m for a congruence system mod N = lcm(moduli)."""
 
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
@@ -52,23 +56,31 @@ def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
     column is k or later. So greedy reduction against the rows decides
     membership, and the rows with zeros in a leading block span exactly
     the span vectors that vanish there.
-
-    Column by column, the rows with a nonzero entry merge into one
-    pivot row by unimodular 2x2 gcd steps; a gcd step against the
-    zero row N*e_c makes the pivot gcd(a, N) and leaves the annihilator
-    (N/g) * pivot row, which joins the rows still to be reduced
-    (Storjohann & Mulders, "Fast algorithms for linear algebra modulo
-    N", 1998).
     """
-    if N < 1:
-        raise ValueError("modulus must be a positive integer")
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("rows must all have the same length")
+    echelon, _ = _howell(rows, N, n)
+    return [tuple(row) for _, row in echelon]
+
+
+def _howell(rows: IntMatrix, N: int, stop: int):
+    """Howell elimination over the first `stop` columns: (echelon, pool).
+
+    Per column, the rows with a nonzero entry merge into one pivot row by
+    unimodular 2x2 gcd steps; a gcd step against the zero row N*e_c makes
+    the pivot g = gcd(a, N) and leaves the annihilator (N/g) * pivot row
+    in the pool (Storjohann & Mulders, "Fast algorithms for linear
+    algebra modulo N", 1998). So the pool's rows, all zero in the first
+    `stop` columns, span every span vector that is; echelon lists
+    (pivot column, row) for the pivots there.
+    """
+    if N < 1:
+        raise ValueError("modulus must be a positive integer")
     pool = [[v % N for v in row] for row in rows]
     pool = [row for row in pool if any(row)]
-    out: list[list[int]] = []
-    for c in range(n):
+    echelon: list[tuple[int, list[int]]] = []
+    for c in range(stop):
         piv = None
         rest = []
         for row in pool:
@@ -93,13 +105,48 @@ def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
             if any(annihilator):
                 rest.append(annihilator)
             piv = [s * x % N for x in piv]
-            for row in out:
+            for _, row in echelon:
                 q = row[c] // g
                 if q:
                     row[:] = [(x - q * y) % N for x, y in zip(row, piv)]
-            out.append(piv)
+            echelon.append((c, piv))
         pool = rest
-    return [tuple(row) for row in out]
+    return echelon, pool
+
+
+def solve_mod(
+    A: IntMatrix,
+    targets: Sequence[Sequence[int]],
+    N: int,
+    num_cols: int | None = None,
+) -> tuple[list[tuple[int, ...] | None], list[tuple[int, ...]]]:
+    """Solve A x = b mod N for each b in `targets`: (solutions, kernel).
+
+    solutions holds one x per target, None where there is none, and the
+    kernel generates {x : A x = 0 mod N}, so target b is solved by x +
+    Z_N-span(kernel) + N*Z^m; every entry lies in [0, N). Row i of
+    [A^T | I] is (column i of A | e_i), and y combines the rows to
+    (A y | y). Howell elimination of the leading block alone leaves the
+    kernel in the pool, and (b | 0) reduces against the echelon rows to
+    (0 | -x) exactly when b = A x is reachable.
+    """
+    n = len(A)
+    m = len(A[0]) if n else num_cols
+    if m is None:
+        raise ValueError("num_cols required for a matrix with no rows")
+    if any(len(row) != m for row in A) or any(len(b) != n for b in targets):
+        raise ValueError("rows and targets must match the matrix shape")
+    rows = [[row[i] for row in A] + [int(i == j) for j in range(m)] for i in range(m)]
+    echelon, pool = _howell(rows, N, n)
+    solutions = []
+    for b in targets:
+        v = [x % N for x in b] + [0] * m
+        for c, row in echelon:
+            q = v[c] // row[c]
+            if q:
+                v = [(x - q * y) % N for x, y in zip(v, row)]
+        solutions.append(None if any(v[:n]) else tuple(-x % N for x in v[n:]))
+    return solutions, [tuple(row[n:]) for row in pool]
 
 
 def _column_echelon(A: IntMatrix, m: int):
@@ -158,8 +205,8 @@ def _column_echelon(A: IntMatrix, m: int):
 def kernel_basis(
     A: IntMatrix, num_cols: int | None = None, moduli: Sequence[int] | None = None
 ) -> list[tuple[int, ...]]:
-    """A lattice basis of {x integer vector : A x = 0}, mod d_i row-wise
-    when `moduli` are given (see solve_diophantine).
+    """Generators of {x : A x = 0}: a lattice basis over the integers, or,
+    when `moduli` are given, the mod-N kernel of solve_diophantine.
 
     Args:
         A: coefficient rows; may be empty.
@@ -176,14 +223,13 @@ def solve_diophantine(
 ) -> DiophantineSolution | None:
     """Solve A x = b over the integers, or A x = b mod moduli[i] in row i.
 
-    A congruence row gets a slack column d_i * e_i, so that the integer
-    solutions of the augmented rows are the solutions for x with slack
-    values appended; the particular solution and the kernel are returned
-    projected onto x, and span the full congruence solution set.
-    Returns None when no integer solution exists (a distinguished
-    outcome, not an error). The particular solution and every kernel
-    generator are re-verified against the original rows before
-    returning.
+    Over the integers the solutions are particular + Z-span(kernel). With
+    `moduli`, row i is scaled by N/d_i, N = lcm(moduli), into one system
+    mod N for solve_mod: the solutions are particular + Z-span(kernel) +
+    N*Z^m, with every returned entry in [0, N). Returns None when no
+    solution exists (a distinguished outcome, not an error). The
+    particular solution and every kernel generator are re-verified
+    against the original rows before returning.
     """
     n = len(A)
     if len(b) != n:
@@ -191,41 +237,34 @@ def solve_diophantine(
     m = len(A[0]) if n else num_cols
     if m is None:
         raise ValueError("num_cols required for a matrix with no rows")
-    rows, total = A, m
+
+    def satisfies(x, rhs) -> bool:
+        residuals = (sum(map(mul, row, x)) - r for row, r in zip(A, rhs))
+        return not any(r % d if d else r for r, d in zip(residuals, moduli or [0] * n))
+
     if moduli is not None:
         if len(moduli) != n or any(d < 1 for d in moduli):
             raise ValueError("moduli must be one positive integer per row")
-        rows = [
-            list(row) + [d if s == i else 0 for s in range(n)]
-            for i, (row, d) in enumerate(zip(A, moduli))
-        ]
-        total += n
-
-    def satisfies(x, rhs) -> bool:
-        for i, row in enumerate(A):
-            r = sum(map(mul, row, x)) - rhs[i]
-            if moduli is not None:
-                r %= moduli[i]
-            if r:
-                return False
-        return True
-
-    H, U, pivots = _column_echelon(rows, total)
-    y = [0] * total
-    for row, col in pivots:
-        rem = b[row] - sum(H[row][j] * y[j] for j in range(col))
-        if rem % H[row][col] != 0:
+        N = math.lcm(*moduli)
+        scale = [N // d for d in moduli]
+        rows = [[s * v for v in row] for s, row in zip(scale, A)]
+        (x,), kernel = solve_mod(rows, [list(map(mul, scale, b))], N, m)
+        if x is None:
             return None
-        y[col] = rem // H[row][col]
-    x = tuple(sum(U[i][j] * y[j] for j in range(total)) for i in range(m))
+    else:
+        H, U, pivots = _column_echelon(A, m)
+        y = [0] * m
+        for row, col in pivots:
+            rem = b[row] - sum(H[row][j] * y[j] for j in range(col))
+            if rem % H[row][col] != 0:
+                return None
+            y[col] = rem // H[row][col]
+        x = tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
+        kernel = [tuple(U[i][j] for i in range(m)) for j in range(len(pivots), m)]
     # rows without a pivot may still be violated; verify the lot exactly
     if not satisfies(x, b):
         return None
-    # the first m rows of U belong to x, the rest to the slack
-    kernel = tuple(
-        tuple(U[i][j] for i in range(m)) for j in range(len(pivots), total)
-    )
     for k in kernel:
         if not satisfies(k, [0] * n):
             raise ArithmeticError(f"kernel vector {k} fails A k = 0")
-    return DiophantineSolution(particular=x, kernel=kernel)
+    return DiophantineSolution(particular=x, kernel=tuple(kernel))

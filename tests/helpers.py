@@ -3,8 +3,9 @@
 The package keeps none of these: they enumerate groups, build
 quadratic functions by hand, turn exact phases into floats, conjugate
 one label at a time as the reference for the engine's tableau, read
-out through PauliLabel arithmetic as the reference for the engine's
-plain-int readout, decode a draw with GroupElement arithmetic as the
+out through PauliLabel arithmetic and a slack-column congruence solver
+of their own as the reference for the engine's plain-int readout and
+its mod-N solves, decode a draw with GroupElement arithmetic as the
 reference for the packed sampler, enumerate a span by search, or store
 quadratic functions by their dense exponent lists as the reference for
 the package's terms-only encoding.
@@ -12,6 +13,7 @@ the package's terms-only encoding.
 
 import cmath
 import math
+import operator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -31,13 +33,7 @@ from normsim.groups import (
     character_exponent,
     check_bound,
 )
-from normsim.homs import (
-    EndoMatrix,
-    InvalidEndomorphism,
-    Subgroup,
-    solve_character_system,
-)
-from normsim.intlinalg import kernel_basis
+from normsim.homs import EndoMatrix, InvalidEndomorphism, Subgroup
 from normsim.pauli import PauliLabel, pauli_identity, pauli_mul, pauli_pow
 from normsim.quadratic import (
     InvalidQuadratic,
@@ -198,18 +194,87 @@ def reference_circuit(labels, gates) -> tuple[PauliLabel, ...]:
     return tuple(out)
 
 
+def _exgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, s, t = _exgcd(b, a % b)
+    return g, t, s - (a // b) * t
+
+
+def slack_congruence_solve(rows, b, num_cols, moduli):
+    """(particular, kernel) of rows . x = b mod moduli[i] in row i, or None.
+
+    Each row i gets a slack column d_i e_i; a column Hermite reduction
+    with unimodular tracking U of the augmented integer system gives a
+    particular solution and a kernel whose Z-span is the full solution
+    lattice, both projected onto x. Entries are never reduced mod d_i.
+    """
+    n, m = len(rows), num_cols
+    total = m + n
+    H = [
+        list(row) + [d * (s == i) for s in range(n)]
+        for i, (row, d) in enumerate(zip(rows, moduli))
+    ]
+    U = [[int(i == j) for j in range(total)] for i in range(total)]
+    pivots, col = [], 0
+    for r in range(n):
+        nz = next((j for j in range(col, total) if H[r][j]), None)
+        if nz is None:
+            continue
+        for M in (H, U):
+            for line in M:
+                line[col], line[nz] = line[nz], line[col]
+        for j in range(col + 1, total):
+            if H[r][j]:
+                g, s, t = _exgcd(H[r][col], H[r][j])
+                p, q = H[r][col] // g, H[r][j] // g
+                for M in (H, U):
+                    for line in M:
+                        x, y = line[col], line[j]
+                        line[col], line[j] = s * x + t * y, p * y - q * x
+        if H[r][col] < 0:
+            for M in (H, U):
+                for line in M:
+                    line[col] = -line[col]
+        # keep earlier columns reduced against the new pivot
+        for j in range(col):
+            q = H[r][j] // H[r][col]
+            if q:
+                for M in (H, U):
+                    for line in M:
+                        line[j] -= q * line[col]
+        pivots.append((r, col))
+        col += 1
+    y = [0] * total
+    for r, c in pivots:
+        rem = b[r] - sum(H[r][j] * y[j] for j in range(c))
+        if rem % H[r][c]:
+            return None
+        y[c] = rem // H[r][c]
+    x = [sum(U[i][j] * y[j] for j in range(total)) for i in range(m)]
+    residuals = (sum(map(operator.mul, row, x)) - bi for row, bi in zip(rows, b))
+    if any(r % d for r, d in zip(residuals, moduli)):
+        return None
+    kernel = [[U[i][j] for i in range(m)] for j in range(len(pivots), total)]
+    return x, kernel
+
+
 def reference_output_distribution(labels) -> OutputDistribution:
-    """Readout with one pauli_mul/pauli_pow product per kernel vector."""
+    """Readout with one pauli_mul/pauli_pow product per kernel vector,
+    and congruences mod |G| by slack_congruence_solve."""
     if not labels:
         raise EngineError("empty stabilizer set")
     group = labels[0].group
+    d, order = group.moduli, group.order
     h_parts = [s.x_part for s in labels]
     support = Subgroup(group, tuple(h for h in h_parts if not h.is_zero))
     # exponent tuples k with sum_i k_i h^i = 0 in G
     rows = [[h.residues[j] for h in h_parts] for j in range(group.num_factors)]
-    diag_gens: list[GroupElement] = []
+    diag_rows: list[list[int]] = []
     diag_phases: list[int] = []
-    for vec in kernel_basis(rows, num_cols=len(labels), moduli=group.moduli):
+    _, kernel = slack_congruence_solve(rows, [0] * len(rows), len(labels), d)
+    for vec in kernel:
         prod = pauli_identity(group)
         for s, k in zip(labels, vec):
             if k:
@@ -221,12 +286,15 @@ def reference_output_distribution(labels) -> OutputDistribution:
             raise EngineError("diagonal stabilizer phase is an odd power")
         if prod.z_part.is_zero and c:
             raise EngineError("stabilizer contains a nontrivial scalar")
-        diag_gens.append(prod.z_part)
-        diag_phases.append((-(c // 2)) % group.order)
-    offset = solve_character_system(group, diag_gens, diag_phases)
-    if offset is None:
+        # chi_z(g) = exp(2 pi i (row . g) / |G|)
+        diag_rows.append([order // dj * z for dj, z in zip(d, prod.z_part.residues)])
+        diag_phases.append((-(c // 2)) % order)
+    sol = slack_congruence_solve(
+        diag_rows, diag_phases, len(d), [order] * len(diag_rows)
+    )
+    if sol is None:
         raise EngineError("diagonal constraints are unsatisfiable")
-    return OutputDistribution(group, offset, support)
+    return OutputDistribution(group, group.element(sol[0]), support)
 
 
 def reference_sample(dist: OutputDistribution, rng) -> GroupElement:

@@ -1,11 +1,18 @@
-"""Integer kernel bases and linear Diophantine systems."""
+"""Integer kernel bases, linear Diophantine systems and congruences mod N.
+
+A congruence system with row moduli d_i is solved mod N = lcm(d): its
+solution set is particular + Z-span(kernel) + N*Z^m, with every returned
+entry in [0, N), so the brute-force checks test membership in the
+lattice spanned by the kernel plus the N*e_j.
+"""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from normsim.intlinalg import howell_form, kernel_basis, solve_diophantine
+from normsim.intlinalg import howell_form, kernel_basis, solve_diophantine, solve_mod
 
 
 def mat_vec(rows, x):
@@ -23,6 +30,21 @@ def satisfies(rows, x, b, moduli=None):
 
 def random_moduli(rng, n):
     return [rng.randint(1, 9) for _ in range(n)]
+
+
+def solution_lattice(kernel, m, moduli):
+    """The kernel, plus N*e_j for each j when the system is mod N = lcm(moduli)."""
+    if moduli is None:
+        return list(kernel)
+    N = math.lcm(*moduli)
+    return list(kernel) + [tuple(N * (i == j) for i in range(m)) for j in range(m)]
+
+
+def assert_reduced(sol, moduli):
+    """Every entry of a congruence solution lies in [0, lcm(moduli))."""
+    if moduli is not None:
+        N = math.lcm(*moduli)
+        assert all(0 <= v < N for vec in (sol.particular, *sol.kernel) for v in vec)
 
 
 def test_single_equation():
@@ -84,8 +106,8 @@ def test_kernel_members_annihilate():
             moduli = random_moduli(rng, n) if congruence else None
             basis = kernel_basis(rows, moduli=moduli)
             if congruence:
-                # a lattice holding lcm(moduli) * Z^m has full rank
-                assert len(basis) == m
+                N = math.lcm(*moduli)
+                assert all(0 <= v < N for k in basis for v in k)
             for k in basis:
                 assert len(k) == m
                 assert satisfies(rows, k, [0] * n, moduli)
@@ -114,13 +136,14 @@ def test_moduli_must_match_rows_and_be_positive():
 def test_unconstrained_kernel_spans_everything():
     for moduli in (None, []):
         basis = kernel_basis([], num_cols=3, moduli=moduli)
-        assert len(basis) == 3
+        # no rows: N = lcm() = 1, so N*e_j alone spans everything
+        assert len(basis) == (3 if moduli is None else 0)
         for unit in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-            assert in_lattice(basis, unit)
+            assert in_lattice(solution_lattice(basis, 3, moduli), unit)
         sol = solve_diophantine([], [], num_cols=3, moduli=moduli)
         assert sol is not None
         assert sol.particular == (0, 0, 0)
-        assert len(sol.kernel) == 3
+        assert sol.kernel == tuple(basis)
     with pytest.raises(ValueError):
         kernel_basis([], moduli=[])
 
@@ -160,9 +183,11 @@ def test_solution_set_matches_brute_force():
             sol = solve_diophantine(rows, b, moduli=moduli)
             assert sol is not None
             assert satisfies(rows, sol.particular, b, moduli)
+            assert_reduced(sol, moduli)
+            lattice = solution_lattice(sol.kernel, m, moduli)
             for s in brute_solutions(rows, b, m, moduli=moduli):
                 delta = [si - pi for si, pi in zip(s, sol.particular)]
-                assert in_lattice(sol.kernel, delta)
+                assert in_lattice(lattice, delta)
 
 
 def test_none_means_no_solutions_in_box():
@@ -235,3 +260,47 @@ def test_howell_form_matches_brute_force():
             tail = [r for r, c in zip(howell, pivots) if c >= k]
             vanishing = {v for v in span if not any(v[:k])}
             assert span_mod(tail, N, n) == vanishing
+
+
+def test_solve_mod_matches_brute_force():
+    """Several targets per system, a third of them random and so often
+    unsolvable: None exactly when no x in [0, N)^m solves A x = b, and
+    otherwise the solutions are x + Z_N-span(kernel)."""
+    rng = random.Random(47)
+    unsolvable = 0
+    for _ in range(150):
+        N = rng.choice([1, 2, 4, 6, 8, 9, 12])
+        n, m = rng.randint(0, 3), rng.randint(1, 3)
+        A = [[rng.randrange(-N, 2 * N) for _ in range(m)] for _ in range(n)]
+        targets = [
+            [rng.randrange(N) for _ in range(n)]
+            if rng.random() < 1 / 3
+            else mat_vec(A, [rng.randrange(N) for _ in range(m)])
+            for _ in range(rng.randint(1, 4))
+        ]
+        solutions, kernel = solve_mod(A, targets, N, m)
+        assert len(solutions) == len(targets)
+        assert all(0 <= v < N for vec in kernel for v in vec)
+        span = span_mod(kernel, N, m)
+        for b, x in zip(targets, solutions):
+            brute = {
+                v for v in itertools.product(range(N), repeat=m)
+                if all((r - t) % N == 0 for r, t in zip(mat_vec(A, v), b))
+            }
+            if x is None:
+                unsolvable += 1
+                assert not brute
+                continue
+            assert all(0 <= v < N for v in x)
+            assert {tuple((a + k) % N for a, k in zip(x, vec)) for vec in span} == brute
+    assert unsolvable > 20
+
+
+def test_solve_mod_checks_its_shapes():
+    assert solve_mod([], [[]], 5, 2) == ([(0, 0)], [(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        solve_mod([], [], 5)
+    with pytest.raises(ValueError):
+        solve_mod([[1]], [[0]], 0)
+    with pytest.raises(ValueError):
+        solve_mod([[1, 2]], [[0, 1]], 5)
