@@ -86,6 +86,10 @@ class ParsedCircuit:
 
 
 _ELEMENT_RE = re.compile(r"\(\s*(-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*)?\)")
+# "(..), (..)," with an optional trailing comma, as in "gens=[...]"
+_ELEMENT_LIST_RE = re.compile(
+    rf"\s*(?:{_ELEMENT_RE.pattern}\s*(?:,\s*{_ELEMENT_RE.pattern}\s*)*(?:,\s*)?)?"
+)
 # int() also takes '+', '_' and non-ASCII digits; on text made of these
 # characters alone it accepts exactly the grammar's -?[0-9]+ tokens
 _INT_LIST = r"[-0-9,\s]*"
@@ -96,10 +100,12 @@ def parse_element_literal(text: str) -> tuple[int, ...]:
     m = _ELEMENT_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"malformed element literal {text!r}")
+    return _residues(m)
+
+
+def _residues(m: re.Match) -> tuple[int, ...]:
     body = m.group(1)
-    if body is None:
-        return ()
-    return tuple(int(p) for p in body.split(","))
+    return () if body is None else tuple(int(p) for p in body.split(","))
 
 
 def parse_column_list(text: str) -> list[tuple[int, ...]]:
@@ -124,28 +130,9 @@ def _split_int_list(body: str, line_no: int, what: str) -> list[int]:
 
 
 def _split_element_list(body: str, line_no: int, what: str) -> list[tuple[int, ...]]:
-    inner = body.strip()
-    out = []
-    pos, n = 0, len(inner)
-    while pos < n:
-        while pos < n and inner[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        m = _ELEMENT_RE.match(inner, pos)
-        if not m:
-            raise CircuitParseError(line_no, f"malformed element in {what} list")
-        out.append(parse_element_literal(m.group(0)))
-        pos = m.end()
-        while pos < n and inner[pos].isspace():
-            pos += 1
-        if pos < n:
-            if inner[pos] != ",":
-                raise CircuitParseError(
-                    line_no, f"junk between elements in {what} list"
-                )
-            pos += 1
-    return out
+    if not _ELEMENT_LIST_RE.fullmatch(body):
+        raise CircuitParseError(line_no, f"malformed element in {what} list")
+    return [_residues(m) for m in _ELEMENT_RE.finditer(body)]
 
 
 def _checked_literal(

@@ -68,6 +68,13 @@ def _check_targets(group: AbelianGroup, targets: Sequence[int]) -> tuple[int, ..
     return t
 
 
+def _common_group(labels: Sequence[PauliLabel]) -> AbelianGroup:
+    group = labels[0].group
+    if any(s.group != group for s in labels):
+        raise GroupMismatchError("stabilizer labels over different groups")
+    return group
+
+
 class Tableau:
     """Stabilizer labels by column (Aaronson-Gottesman, quant-ph/0406196).
 
@@ -77,9 +84,7 @@ class Tableau:
     """
 
     def __init__(self, labels: Sequence[PauliLabel]):
-        self.group = labels[0].group
-        if any(s.group != self.group for s in labels):
-            raise GroupMismatchError("stabilizer labels over different groups")
+        self.group = _common_group(labels)
         self.z = [list(col) for col in zip(*(s.z_part.residues for s in labels))]
         self.x = [list(col) for col in zip(*(s.x_part.residues for s in labels))]
         self.phase = [s.phase.value for s in labels]
@@ -392,7 +397,7 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     """
     if not labels:
         raise EngineError("empty stabilizer set")
-    group = labels[0].group
+    group = _common_group(labels)
     d, L = group.moduli, group.phase_modulus
     h_parts = [s.x_part for s in labels]
     support = Subgroup(group, tuple(h for h in h_parts if not h.is_zero))

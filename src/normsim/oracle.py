@@ -15,6 +15,7 @@ large bound cannot ask for an unbounded state vector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +37,8 @@ from .groups import (
     ENUM_BOUND,
     AbelianGroup,
     GroupElement,
+    GroupMismatchError,
+    PhaseExponent,
     check_bound,
 )
 from .homs import Subgroup, subgroup_members
@@ -44,10 +47,6 @@ from .quadratic import quad_eval
 
 TOL = 1e-9
 NORM_TOL = 1e-12
-
-
-def _gamma_power(group: AbelianGroup, a: int) -> complex:
-    return np.exp(1j * np.pi * a / group.order)
 
 
 @dataclass
@@ -77,38 +76,44 @@ def basis_state(group: AbelianGroup, g: GroupElement) -> DenseState:
     return DenseState(group, vec)
 
 
+def _dft(d: int, inverse: bool) -> np.ndarray:
+    """The unitary Fourier matrix of Z_d, exp(+-2*pi*i*g*h/d)/sqrt(d)."""
+    grid = np.outer(np.arange(d), np.arange(d))
+    f = np.exp(2j * np.pi * grid / d) / np.sqrt(d)
+    return f.conj() if inverse else f
+
+
+def _monomial(gate: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, phase) with gate|g> = phase[g]|perm[g]>, in one pass over G,
+    read off the gate's own definition rather than the engine's conjugation."""
+    group, elements = gate.group, gate.group.elements()
+    if isinstance(gate, AutomorphismGate):
+        zero = PhaseExponent(group, 0)
+        pairs = ((zero, gate.matrix.apply(g)) for g in elements)
+    elif isinstance(gate, QuadraticGate):
+        pairs = ((quad_eval(gate.encoding, g), g) for g in elements)
+    elif isinstance(gate, PauliGate):
+        pairs = (pauli_apply(gate.label, g) for g in elements)
+    else:
+        raise TypeError(f"unknown gate {gate!r}")
+    exps, perm = zip(*((a.value, group.index_of(h)) for a, h in pairs))
+    return np.array(perm), np.exp(1j * np.pi * np.array(exps) / group.order)
+
+
 def apply_gate(state: DenseState, gate: Gate) -> DenseState:
     group = state.group
+    if gate.group != group:
+        raise GroupMismatchError(f"gate over {gate.group} applied to a {group} state")
     if isinstance(gate, FourierGate):
         shaped = state.vector.reshape(group.moduli)
         for axis in gate.targets:
-            d = group.moduli[axis]
-            grid = np.outer(np.arange(d), np.arange(d))
-            f = np.exp(2j * np.pi * grid / d) / np.sqrt(d)
-            if gate.inverse:
-                f = f.conj()
-            shaped = np.moveaxis(
-                np.tensordot(f, shaped, axes=([1], [axis])), 0, axis
-            )
+            f = _dft(group.moduli[axis], gate.inverse)
+            shaped = np.moveaxis(np.tensordot(f, shaped, (1, axis)), 0, axis)
         out = shaped.reshape(group.order)
-    elif isinstance(gate, AutomorphismGate):
-        out = np.zeros_like(state.vector)
-        for g in group.elements():
-            out[group.index_of(gate.matrix.apply(g))] = state.vector[
-                group.index_of(g)
-            ]
-    elif isinstance(gate, QuadraticGate):
-        phases = np.array(
-            [
-                _gamma_power(group, quad_eval(gate.encoding, g).value)
-                for g in group.elements()
-            ]
-        )
-        out = state.vector * phases
-    elif isinstance(gate, PauliGate):
-        return apply_pauli(state, gate.label)
     else:
-        raise TypeError(f"unknown gate {gate!r}")
+        perm, phase = _monomial(gate)
+        out = np.empty_like(state.vector)
+        out[perm] = phase * state.vector
     result = DenseState(group, out)
     if abs(result.norm() - 1.0) > NORM_TOL and abs(state.norm() - 1.0) <= NORM_TOL:
         raise AssertionError("gate application broke normalization")
@@ -116,31 +121,28 @@ def apply_gate(state: DenseState, gate: Gate) -> DenseState:
 
 
 def apply_pauli(state: DenseState, label: PauliLabel) -> DenseState:
-    group = state.group
-    out = np.zeros_like(state.vector)
-    for k in group.elements():
-        phase, target = pauli_apply(label, k)
-        amp = state.vector[group.index_of(k)]
-        out[group.index_of(target)] += _gamma_power(group, phase.value) * amp
-    return DenseState(group, out)
+    return apply_gate(state, PauliGate(label))
 
 
-def apply_circuit(
-    state: DenseState, gates: Sequence[Gate]
-) -> DenseState:
+def apply_circuit(state: DenseState, gates: Sequence[Gate]) -> DenseState:
     for gate in gates:
         state = apply_gate(state, gate)
     return state
 
 
 def gate_matrix(gate: Gate, bound: int = DENSE_BOUND) -> np.ndarray:
-    """Explicit unitary, one basis column at a time."""
+    """Explicit unitary: a Kronecker product of per-factor Fourier
+    matrices and identities, or the monomial form scattered into columns."""
     group = gate.group
     check_bound(group, bound)
-    n = group.order
-    mat = np.zeros((n, n), dtype=np.complex128)
-    for j, g in enumerate(group.elements()):
-        mat[:, j] = apply_gate(basis_state(group, g), gate).vector
+    if isinstance(gate, FourierGate):
+        return functools.reduce(np.kron, [
+            _dft(d, gate.inverse) if i in gate.targets else np.eye(d)
+            for i, d in enumerate(group.moduli)
+        ])
+    perm, phase = _monomial(gate)
+    mat = np.zeros((group.order, group.order), dtype=np.complex128)
+    mat[perm, np.arange(group.order)] = phase
     return mat
 
 

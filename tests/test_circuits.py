@@ -256,3 +256,39 @@ def test_permutation_table_integers_are_ascii_digits():
 def test_random_instance_seed_stability():
     assert random_instance(4, max_order=64) == random_instance(4, max_order=64)
     assert random_instance(4, max_order=64) != random_instance(5, max_order=64)
+
+
+ELEMENT_LIST_BODIES = [
+    ("", []),
+    ("  ", []),
+    ("()", [()]),
+    ("(1,2)", [(1, 2)]),
+    (" ( 1 , 2 ) , (0,-1) ", [(1, 2), (0, -1)]),
+    ("(1,2),", [(1, 2)]),
+    ("(1,2) ,", [(1, 2)]),
+    ("(1,2),(0,1),", [(1, 2), (0, 1)]),
+    (",(1,2)", None),
+    ("(1,2),,(0,1)", None),
+    ("(1,2) (0,1)", None),
+    ("(1,2),x", None),
+    ("(+1,2)", None),
+    (",", None),
+    ("(1,2", None),
+    ("(1,2)x", None),
+]
+
+
+@pytest.mark.parametrize("body,want", ELEMENT_LIST_BODIES, ids=repr)
+def test_element_list_bodies(body, want):
+    if want is not None:
+        assert parse_column_list(f"[{body}]") == want
+        return
+    with pytest.raises(ValueError):
+        parse_column_list(f"[{body}]")
+    for text in (
+        f"group: 4 4\nstate: coset gens=[{body}] shift=(0,0)\n",
+        f"group: 4 4\nstate: coset gens=[] shift=(0,0)\ngate: auto cols=[{body}]\n",
+    ):
+        with pytest.raises(CircuitParseError) as exc:
+            parse_circuit(text)
+        assert exc.value.line_no == text.count("\n")

@@ -1,5 +1,6 @@
 """Dense reference simulator and the verification helpers built on it."""
 
+import itertools
 import math
 import random
 
@@ -7,12 +8,20 @@ import numpy as np
 import pytest
 
 from normsim.affine import PermutationSpec, affine_test, modexp_permutation
-from normsim.engine import CosetInput, FourierGate, PauliGate, QuadraticGate
-from normsim.groups import AbelianGroup, BoundExceeded
+from normsim.engine import (
+    AutomorphismGate,
+    CosetInput,
+    FourierGate,
+    PauliGate,
+    QuadraticGate,
+)
+from normsim.groups import AbelianGroup, BoundExceeded, GroupMismatchError
 from normsim.homs import endo_validate
 from normsim.oracle import (
+    DenseState,
     apply_circuit,
     apply_gate,
+    apply_pauli,
     basis_state,
     compare_with_engine,
     coset_state,
@@ -20,8 +29,8 @@ from normsim.oracle import (
     eigenvector_check,
     gate_matrix,
 )
-from normsim.pauli import pauli_label
-from normsim.quadratic import quad_cross
+from normsim.pauli import pauli_apply, pauli_label
+from normsim.quadratic import build_quadratic, quad_cross, quad_eval
 
 
 def coset(group, gens, shift):
@@ -191,3 +200,131 @@ def test_pauli_matrix_monomial():
         nz = np.flatnonzero(np.abs(m[:, col]) > 1e-12)
         assert len(nz) == 1
         assert abs(abs(m[nz[0], col]) - 1) < 1e-12
+
+
+def _invariant_factor_groups(max_order):
+    """Every finite abelian group of order at most max_order, once each,
+    as moduli d_1 | d_2 | ... (the invariant factor form)."""
+    out = []
+
+    def grow(moduli, order):
+        if moduli:
+            out.append(tuple(moduli))
+        step = moduli[-1] if moduli else 1
+        d = moduli[-1] if moduli else 2
+        while order * d <= max_order:
+            grow(moduli + [d], order * d)
+            d += step
+
+    grow([], 1)
+    return out
+
+
+PINNED_GROUPS = _invariant_factor_groups(24) + [(4, 2), (2, 3, 4)]
+
+
+def _definition_gates(group, rng):
+    """Fourier gates on every target subset, a unit multiply, a shear,
+    every build_quadratic family and random Paulis."""
+    m, d = group.num_factors, group.moduli
+    gates = [
+        FourierGate(group, targets, inverse)
+        for r in range(1, m + 1)
+        for targets in itertools.combinations(range(m), r)
+        for inverse in (False, True)
+    ]
+    ident = [[int(r == k) for r in range(m)] for k in range(m)]
+    unit = [col[:] for col in ident]
+    unit[-1][-1] = d[-1] - 1
+    gates.append(AutomorphismGate(endo_validate(group, unit)))
+    shears = [
+        (i, j, d[i] // math.gcd(d[i], d[j]))
+        for i in range(m)
+        for j in range(m)
+        if i != j and d[i] // math.gcd(d[i], d[j]) % d[i]
+    ]
+    for i, j, c in shears[:1]:
+        shear = [col[:] for col in ident]
+        shear[j][i] = c
+        gates.append(AutomorphismGate(endo_validate(group, shear)))
+    encodings = []
+    for i, di in enumerate(d):
+        encodings.append(build_quadratic(group, "character", factor=i, a=1))
+        encodings.append(build_quadratic(group, "square", factor=i, a=1))
+        encodings.append(build_quadratic(group, "half", factor=i, a=di - 1))
+    for i, j in itertools.combinations(range(m), 2):
+        c = d[j] // math.gcd(d[i], d[j])
+        encodings.append(build_quadratic(group, "cross", i=i, j=j, c=c))
+    endo = [
+        [dk // math.gcd(di, dk) * rng.randrange(math.gcd(di, dk)) for dk in d]
+        for di in d
+    ]
+    endo = endo_validate(group, endo)
+    encodings.append(build_quadratic(group, "from_endo", endo=endo))
+    gates += [QuadraticGate(xi) for xi in encodings]
+    for _ in range(3):
+        z = [rng.randrange(di) for di in d]
+        x = [rng.randrange(di) for di in d]
+        gates.append(PauliGate(pauli_label(group, rng.randrange(group.phase_modulus), z, x)))
+    return gates
+
+
+def _defined_matrix(gate):
+    """The gate's matrix entry by entry, straight from its definition."""
+    group = gate.group
+    n = group.order
+    mat = np.zeros((n, n), dtype=np.complex128)
+    elements = list(group.elements())
+    for g in elements:
+        if isinstance(gate, FourierGate):
+            sign = -1 if gate.inverse else 1
+            for h in elements:
+                entry = 1.0 + 0j
+                for i, (gi, hi, di) in enumerate(zip(g.residues, h.residues, group.moduli)):
+                    if i in gate.targets:
+                        entry *= np.exp(sign * 2j * np.pi * gi * hi / di) / np.sqrt(di)
+                    elif gi != hi:
+                        entry = 0j
+                mat[group.index_of(h), group.index_of(g)] = entry
+            continue
+        if isinstance(gate, AutomorphismGate):
+            a, image = 0, gate.matrix.apply(g)
+        elif isinstance(gate, QuadraticGate):
+            a, image = quad_eval(gate.encoding, g).value, g
+        else:
+            phase, image = pauli_apply(gate.label, g)
+            a = phase.value
+        mat[group.index_of(image), group.index_of(g)] = np.exp(1j * np.pi * a / n)
+    return mat
+
+
+@pytest.mark.parametrize("moduli", PINNED_GROUPS, ids=str)
+def test_gate_matrices_match_gate_definitions(moduli):
+    group = AbelianGroup(moduli)
+    rng = random.Random(sum(moduli) * 31 + len(moduli))
+    vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(group.order)])
+    state = DenseState(group, vec / np.linalg.norm(vec))
+    for gate in _definition_gates(group, rng):
+        mat = gate_matrix(gate)
+        want = _defined_matrix(gate)
+        assert np.max(np.abs(mat - want)) < 1e-12, gate
+        if not isinstance(gate, FourierGate):
+            assert np.count_nonzero(mat) == group.order, gate
+        moved = apply_gate(state, gate).vector
+        assert np.max(np.abs(moved - mat @ state.vector)) < 1e-12, gate
+
+
+def test_gates_over_another_group_are_refused():
+    z2z3, z3z2 = AbelianGroup((2, 3)), AbelianGroup((3, 2))
+    state = coset_state(coset(z2z3, [(1, 0)], (0, 1)))
+    qft = FourierGate(z3z2, (0,))
+    with pytest.raises(GroupMismatchError):
+        apply_gate(state, qft)
+    with pytest.raises(GroupMismatchError):
+        apply_circuit(state, [FourierGate(z2z3, (1,)), qft])
+    z4, z2z2 = AbelianGroup((4,)), AbelianGroup((2, 2))
+    swap = AutomorphismGate(endo_validate(z2z2, [(0, 1), (1, 0)]))
+    with pytest.raises(GroupMismatchError):
+        apply_gate(coset_state(coset(z4, [], (1,))), swap)
+    with pytest.raises(GroupMismatchError):
+        apply_pauli(state, pauli_label(z3z2, 0, [1, 0], [0, 1]))

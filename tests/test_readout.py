@@ -165,3 +165,10 @@ def test_readout_builds_no_labels_on_z2_64(monkeypatch):
     assert 0 < calls["elements"] <= r + 1
     assert dist.support == ref.support
     assert_same_coset(dist, ref)
+
+
+def test_labels_over_different_groups_are_refused():
+    z3 = AbelianGroup((3,))
+    labels = (pauli_label(Z2, 0, [1], [0]), pauli_label(z3, 0, [1], [0]))
+    with pytest.raises(GroupMismatchError, match="stabilizer labels over different groups"):
+        output_distribution(labels)
