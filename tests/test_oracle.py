@@ -243,7 +243,8 @@ def _definition_gates(group, rng):
         for j in range(m)
         if i != j and d[i] // math.gcd(d[i], d[j]) % d[i]
     ]
-    for i, j, c in shears[:1]:
+    if shears:
+        i, j, c = shears[0]
         shear = [col[:] for col in ident]
         shear[j][i] = c
         gates.append(AutomorphismGate(endo_validate(group, shear)))
@@ -263,9 +264,10 @@ def _definition_gates(group, rng):
     encodings.append(build_quadratic(group, "from_endo", endo=endo))
     gates += [QuadraticGate(xi) for xi in encodings]
     for _ in range(3):
+        a = rng.randrange(group.phase_modulus)
         z = [rng.randrange(di) for di in d]
         x = [rng.randrange(di) for di in d]
-        gates.append(PauliGate(pauli_label(group, rng.randrange(group.phase_modulus), z, x)))
+        gates.append(PauliGate(pauli_label(group, a, z, x)))
     return gates
 
 
@@ -280,7 +282,8 @@ def _defined_matrix(gate):
             sign = -1 if gate.inverse else 1
             for h in elements:
                 entry = 1.0 + 0j
-                for i, (gi, hi, di) in enumerate(zip(g.residues, h.residues, group.moduli)):
+                for i, di in enumerate(group.moduli):
+                    gi, hi = g.residues[i], h.residues[i]
                     if i in gate.targets:
                         entry *= np.exp(sign * 2j * np.pi * gi * hi / di) / np.sqrt(di)
                     elif gi != hi:
@@ -302,7 +305,7 @@ def _defined_matrix(gate):
 def test_gate_matrices_match_gate_definitions(moduli):
     group = AbelianGroup(moduli)
     rng = random.Random(sum(moduli) * 31 + len(moduli))
-    vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(group.order)])
+    vec = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in group.elements()])
     state = DenseState(group, vec / np.linalg.norm(vec))
     for gate in _definition_gates(group, rng):
         mat = gate_matrix(gate)

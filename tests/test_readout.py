@@ -170,5 +170,5 @@ def test_readout_builds_no_labels_on_z2_64(monkeypatch):
 def test_labels_over_different_groups_are_refused():
     z3 = AbelianGroup((3,))
     labels = (pauli_label(Z2, 0, [1], [0]), pauli_label(z3, 0, [1], [0]))
-    with pytest.raises(GroupMismatchError, match="stabilizer labels over different groups"):
+    with pytest.raises(GroupMismatchError, match="labels over different groups"):
         output_distribution(labels)
