@@ -2,13 +2,16 @@
 
 Exit codes: 0 success (for `verify`, oracle agreement), 1 verification
 failure, 2 dense bound exceeded, 64 usage error, 65 unreadable or
-invalid input file.
+invalid input file, 141 standard output closed by its reader (as in
+`normsim simulate ... | head`; 128 + SIGPIPE, with nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import islice
 
 from .affine import affine_test, modexp_permutation, parse_permutation_table
 from .circuits import (
@@ -29,6 +32,10 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BOUND = 2
 EXIT_USAGE = 64
 EXIT_INPUT = 65
+EXIT_PIPE = 141
+
+# shots per write in `normsim simulate`
+_CHUNK = 4096
 
 
 class _UsageError(Exception):
@@ -117,8 +124,9 @@ def _cmd_simulate(args) -> int:
     if args.shots < 0:
         raise _UsageError("--shots must be nonnegative")
     dist = simulate(circuit.coset, circuit.gates)
-    for sample in sample_stream(dist, args.shots, args.seed):
-        print(sample)
+    lines = map(str, sample_stream(dist, args.shots, args.seed))
+    while chunk := list(islice(lines, _CHUNK)):
+        sys.stdout.write("\n".join(chunk) + "\n")
     return EXIT_OK
 
 
@@ -249,7 +257,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a reader that left early surfaces here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at
+        # devnull so that flush cannot fail and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except _UsageError as err:
         print(f"normsim: {err}", file=sys.stderr)
         return EXIT_USAGE

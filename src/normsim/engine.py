@@ -90,10 +90,11 @@ class Tableau:
         self.phase = [s.phase.value for s in labels]
 
     def labels(self) -> tuple[PauliLabel, ...]:
-        g = self.group
+        # every gate keeps the columns reduced, so the rows need no check
+        g, element = self.group, GroupElement._reduced
         rows = zip(self.phase, zip(*self.z), zip(*self.x))
         return tuple(
-            PauliLabel(PhaseExponent(g, a), GroupElement(g, z), GroupElement(g, x))
+            PauliLabel(PhaseExponent(g, a), element(g, z), element(g, x))
             for a, z, x in rows
         )
 
@@ -332,7 +333,8 @@ class OutputDistribution:
         with radix product n <= _TABLE_SIZE, or t*h for one wider row. A
         field holds x0_j + sum_i (n_i - 1) row_ij, so no shot's sum
         carries across fields; split reads the residues back out, byte
-        by byte when every field fits in one.
+        by byte when every field fits in one, through one translate when
+        the moduli are also equal.
         """
         x0, basis = self.canonical
         d = self.group.moduli
@@ -345,7 +347,10 @@ class OutputDistribution:
         def pack(v):
             return sum(r << s for r, s in zip(v, shifts))
 
-        if w == 8:
+        if w == 8 and len(set(d)) == 1:
+            def split(acc, table=bytes(b % d[0] for b in range(256))):
+                return tuple(acc.to_bytes(len(d), "little").translate(table))
+        elif w == 8:
             def split(acc):
                 return tuple(map(mod, acc.to_bytes(len(d), "little"), d))
         else:
@@ -370,7 +375,7 @@ class OutputDistribution:
         for n, table, h in steps:
             r, t = divmod(r, n)
             acc += table[t] if table is not None else t * h
-        return GroupElement(self.group, split(acc))
+        return GroupElement._reduced(self.group, split(acc))
 
     def members(self, bound: int = ENUM_BOUND) -> frozenset[GroupElement]:
         """The coset, as the decode of every r < |S|; BoundExceeded above bound."""

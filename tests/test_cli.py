@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import normsim
-from normsim.cli import main
+from normsim.circuits import parse_circuit
+from normsim.cli import _CHUNK, main
+from normsim.engine import sample_stream, simulate
 
 BELL = """\
 group: 2 2
@@ -38,6 +40,35 @@ def test_simulate_deterministic(bell_file, capsys):
     first = capsys.readouterr().out
     main(["simulate", bell_file, "--shots", "5", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+def test_simulate_writes_every_shot_across_chunks(bell_file, capsys):
+    circuit = parse_circuit(BELL)
+    dist = simulate(circuit.coset, circuit.gates)
+    for shots in (0, 1, _CHUNK, 2 * _CHUNK + 1):
+        assert main(["simulate", bell_file, "--shots", str(shots), "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out == "".join(f"{s}\n" for s in sample_stream(dist, shots, 3))
+
+
+def test_simulate_into_a_closed_pipe_exits_141_quietly():
+    # `normsim simulate ... | head -1`: the reader leaves after one line
+    golden = Path(__file__).resolve().parent / "golden" / "clifford_z2_8.nc"
+    src = str(Path(normsim.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "normsim.cli", "simulate", str(golden),
+         "--shots", "200000", "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert first.startswith(b"(") and first.endswith(b")\n")
 
 
 def test_support(bell_file, capsys):

@@ -94,6 +94,37 @@ def test_element_reduction_and_arithmetic():
     assert str(a) == "(1,3)"
 
 
+def test_str_matches_the_join_on_the_digit_and_generic_paths():
+    # every modulus at most 10 takes the digit template, an 11 the join
+    rng = random.Random("str")
+    for top in (10, 11):
+        for m in (1, 2, 5, 40):
+            assert (AbelianGroup((top,) * m)._digit_template is None) == (top == 11)
+            for _ in range(50):
+                moduli = tuple(rng.randint(2, top) for _ in range(m))
+                for g in (AbelianGroup(moduli), AbelianGroup((top,) * m)):
+                    e = g.element([rng.randrange(d) for d in g.moduli])
+                    assert str(e) == "(" + ",".join(map(str, e.residues)) + ")"
+    assert str(AbelianGroup((10, 11)).element((9, 10))) == "(9,10)"
+    assert str(AbelianGroup((10, 2)).element((9, 1))) == "(9,1)"
+
+
+def test_trusted_elements_equal_checked_ones():
+    rng = random.Random("trusted")
+    for _ in range(200):
+        g = AbelianGroup(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 6))))
+        residues = tuple(rng.randrange(d) for d in g.moduli)
+        trusted, checked = GroupElement._reduced(g, residues), GroupElement(g, residues)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert str(trusted) == str(checked)
+        assert {checked: 1}[trusted] == 1
+        # the public constructor keeps its check
+        with pytest.raises(ValueError, match="residue count"):
+            GroupElement(g, residues + (0,))
+        with pytest.raises(ValueError, match="out of range"):
+            GroupElement(g, residues[:-1] + (g.moduli[-1],))
+
+
 def test_element_group_mismatch():
     a = AbelianGroup((2,)).element((1,))
     b = AbelianGroup((3,)).element((1,))

@@ -30,7 +30,7 @@ from normsim.engine import (
     sample_stream,
     simulate,
 )
-from normsim.groups import ENUM_BOUND, AbelianGroup, BoundExceeded
+from normsim.groups import ENUM_BOUND, AbelianGroup, BoundExceeded, GroupElement
 from normsim.homs import Subgroup, subgroup_members
 
 CHECKS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
@@ -112,6 +112,46 @@ def test_decode_reaches_each_coset_element_once(seed):
             assert all(earlier.residues[c] < p for earlier in basis.rows[:i])
             assert offset.residues[c] < p
     assert {"empty", "zero", ""} <= seen
+
+
+@pytest.mark.parametrize(
+    "moduli, n_gens",
+    [((2,) * 32, 10), ((3,) * 16, 6), ((10,) * 8, 2), ((2, 3, 4, 5, 6, 7, 8, 9), 1)],
+    ids=["2^32", "3^16", "10^8", "mixed"],
+)
+def test_decode_is_a_bijection_with_byte_fields(moduli, n_gens):
+    # every field fits in one byte: equal moduli split through one
+    # translate, mixed ones through map(mod, ...)
+    rng = random.Random(f"bytes:{moduli}")
+    group = AbelianGroup(moduli)
+
+    def element():
+        return group.element([rng.randrange(d) for d in moduli])
+
+    for _ in range(10):
+        gens = tuple(element() for _ in range(n_gens))
+        dist = OutputDistribution(group, element(), Subgroup(group, gens))
+        offset, basis = dist.canonical
+        top = [o + sum((n - 1) * h.residues[j] for n, h in zip(basis.radices, basis.rows))
+               for j, o in enumerate(offset.residues)]
+        assert max(top) < 256
+        members = dist.members()
+        assert len(members) == basis.order
+        assert {g.residues for g in members} == coset_of(dist)
+
+
+def test_shots_build_no_checked_elements(monkeypatch):
+    # the decode's residues are reduced by construction, so no shot pays
+    # for the public constructor's range check; one group per split
+    rng = random.Random("unchecked")
+    for moduli in ((2,) * 32, (2, 3, 4, 5), (2**40, 10**9 + 7, 6)):
+        dist = random_dist(rng, group=AbelianGroup(moduli))
+        dist.canonical  # built once per coset
+        checked = []
+        monkeypatch.setattr(GroupElement, "__post_init__", lambda e: checked.append(e))
+        lines = [str(shot) for shot in sample_stream(dist, 1000, 7)]
+        monkeypatch.undo()
+        assert checked == [] and len(lines) == 1000
 
 
 @st.composite
