@@ -150,18 +150,10 @@ def checked_element(
     group: AbelianGroup, residues: Sequence[int], line_no: int, what: str
 ) -> GroupElement:
     """The element with these residues, or a line-numbered validation error."""
-    if len(residues) != group.num_factors:
-        raise CircuitValidationError(
-            line_no,
-            f"{what} has {len(residues)} residues, group has "
-            f"{group.num_factors} factors",
-        )
-    for r, d in zip(residues, group.moduli):
-        if not 0 <= r < d:
-            raise CircuitValidationError(
-                line_no, f"{what} residue {r} out of range for modulus {d}"
-            )
-    return group.element(residues)
+    try:
+        return GroupElement(group, tuple(residues))
+    except ValueError as err:
+        raise CircuitValidationError(line_no, f"{what}: {err}") from None
 
 
 _GROUP_RE = re.compile(r"group:\s*([-0-9\s]+?)\s*$")
@@ -249,18 +241,16 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
     m = _QFT_RE.fullmatch(line)
     if m:
         targets = _split_int_list(m.group("t"), line_no, "targets")
-        if not targets:
-            raise CircuitValidationError(line_no, "transform needs targets")
         for t in targets:
             if not 1 <= t <= group.num_factors:
                 raise CircuitValidationError(
                     line_no, f"target {t} out of range 1..{group.num_factors}"
                 )
-        if len(set(targets)) != len(targets):
-            raise CircuitValidationError(line_no, "duplicate targets")
-        return FourierGate(
-            group, tuple(t - 1 for t in targets), inverse=m.group("kind") == "iqft"
-        )
+        inverse = m.group("kind") == "iqft"
+        try:
+            return FourierGate(group, tuple(t - 1 for t in targets), inverse)
+        except ValueError as err:
+            raise CircuitValidationError(line_no, str(err)) from None
     m = _AUTO_RE.fullmatch(line)
     if m:
         cols = [

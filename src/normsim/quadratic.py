@@ -52,7 +52,7 @@ class QuadraticEncoding:
     group: AbelianGroup
     terms: tuple[tuple[Term, ...], tuple[Term, ...]]
 
-    def __init__(self, group, n_diag, n_pair, n_double, validate: bool = True):
+    def __init__(self, group, n_diag, n_pair, n_double):
         m = group.num_factors
         L = group.phase_modulus
         if len(n_diag) != m or len(n_double) != m:
@@ -68,17 +68,16 @@ class QuadraticEncoding:
             if (b := (next(it) - n1[i] - n1[j]) % L)
         ]
         diag = [(i, n, int(v) - 2 * n) for i, (n, v) in enumerate(zip(n1, n_double))]
-        self._store(group, diag, pairs, validate)
+        self._store(group, diag, pairs)
 
-    def _store(self, group, diag, pairs, validate: bool) -> None:
+    def _store(self, group, diag, pairs) -> None:
         L = group.phase_modulus
         diag = tuple((i, n % L, b % L) for i, n, b in diag if n % L or b % L)
         object.__setattr__(self, "group", group)
         object.__setattr__(
             self, "terms", (diag, tuple((i, j, b % L) for i, j, b in pairs if b % L))
         )
-        if validate:
-            self._check()
+        self._check()
 
     @cached_property
     def n_diag(self) -> tuple[int, ...]:
@@ -125,7 +124,7 @@ class QuadraticEncoding:
 def _from_terms(group: AbelianGroup, diag, pairs) -> QuadraticEncoding:
     """The validated encoding with these terms, ordered as in `terms`."""
     xi = object.__new__(QuadraticEncoding)
-    xi._store(group, diag, pairs, True)
+    xi._store(group, diag, pairs)
     return xi
 
 
@@ -149,8 +148,8 @@ def extract_endo(xi: QuadraticEncoding) -> EndoMatrix:
     """The unique endomorphism w with B(g,h) = chi_{w(g)}(h).
 
     Column k row l: b_kl = (2*order/d_l) * A_lk, so A_lk is recovered by
-    exact division. Raises InvalidQuadratic when a stored exponent is
-    not a d_l-th-root value (only reachable on unvalidated encodings).
+    division, exact because the encoding's check makes d_l * b_kl vanish
+    mod 2*order.
     """
     group = xi.group
     d = group.moduli
@@ -160,12 +159,7 @@ def extract_endo(xi: QuadraticEncoding) -> EndoMatrix:
     entries = [(i, i, b) for i, _, b in diag]
     entries += [e for i, j, b in pairs for e in ((i, j, b), (j, i, b))]
     for k, l, b in entries:
-        u = L // d[l]
-        if b % u:
-            raise InvalidQuadratic(
-                f"B(e^{k},e^{l}) exponent {b} is not a multiple of {u}"
-            )
-        cols[k][l] = b // u
+        cols[k][l] = b // (L // d[l])
     return EndoMatrix(group, tuple(group.element(c) for c in cols))
 
 

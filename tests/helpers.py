@@ -33,7 +33,7 @@ from normsim.groups import (
     character_exponent,
     check_bound,
 )
-from normsim.homs import EndoMatrix, InvalidEndomorphism, Subgroup
+from normsim.homs import EndoMatrix, Subgroup
 from normsim.pauli import PauliLabel, pauli_identity, pauli_mul, pauli_pow
 from normsim.quadratic import (
     InvalidQuadratic,
@@ -93,17 +93,19 @@ def quad_trivial(group: AbelianGroup) -> QuadraticEncoding:
 def quad_validate_exhaustive(xi: QuadraticEncoding, bound: int = DENSE_BOUND) -> bool:
     """Check xi(g+h) = xi(g) xi(h) B(g,h) over all pairs.
 
-    Returns False when the encoding does not even determine a bilinear
-    endomorphism (possible only for encodings built with
-    validate=False).
+    xi may be a DenseQuadratic built with validate=False. Returns False
+    when its exponents do not even determine a bilinear endomorphism:
+    some B(e^i, e^j) exponent is not a multiple of both 2|G|/d_i and
+    2|G|/d_j, so extract_endo's division would not be exact.
     """
     group = xi.group
     check_bound(group, bound)
-    try:
-        endo = extract_endo(xi)
-    except (InvalidQuadratic, InvalidEndomorphism):
-        return False
-    L = group.phase_modulus
+    d, L = group.moduli, group.phase_modulus
+    diag, pairs = xi.terms
+    for i, j, b in [(i, i, b) for i, _, b in diag] + list(pairs):
+        if b % (L // d[i]) or b % (L // d[j]):
+            return False
+    endo = extract_endo(xi)
     elems = list(group.elements())
     values = {g: quad_eval(xi, g).value for g in elems}
     for g in elems:

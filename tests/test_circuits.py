@@ -1,6 +1,7 @@
 """Wire-format parsing, serialization round trips, random instances."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,7 @@ from normsim.engine import (
     QuadraticGate,
     simulate,
 )
-from normsim.groups import AbelianGroup
+from normsim.groups import AbelianGroup, GroupElement
 from normsim.oracle import compare_with_engine
 from normsim.quadratic import quad_character
 
@@ -159,17 +160,83 @@ def test_rejects_bad_group_lines():
 
 def test_rejects_bad_targets():
     base = "group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
-    assert "target" in str(err_line(base + "gate: qft targets=[3]\n"))
-    assert "target" in str(err_line(base + "gate: qft targets=[0]\n"))
-    assert "target" in str(err_line(base + "gate: qft targets=[1,1]\n"))
+    for targets in ("3", "0", "1,1", "2,2", ""):
+        for kind in ("qft", "iqft"):
+            e = err_line(base + f"gate: {kind} targets=[{targets}]\n")
+            assert isinstance(e, CircuitValidationError) and e.line_no == 3
+            assert "target" in e.reason
 
 
 def test_rejects_bad_elements():
-    base = "group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
-    e = err_line(base + "gate: pauli a=0 z=(1,0,0) x=(0,0)\n")
-    assert "line 3" in str(e)
-    e = err_line("group: 2 2\nstate: coset gens=[(1,2,3)] shift=(0,0)\n")
-    assert "line 2" in str(e)
+    # over Z_2 x Z_4: a residue too many, one equal to its modulus, a negative one
+    head = "group: 2 4\nstate: coset gens=[] shift=(0,0)\n"
+    circuit_sites = [
+        ("group: 2 4\nstate: coset gens=[(1,0),BAD] shift=(0,0)\n", 2,
+         "coset generator"),
+        ("group: 2 4\nstate: coset gens=[] shift=BAD\n", 2, "coset shift"),
+        (head + "gate: auto cols=[(1,0),BAD]\n", 3, "matrix column"),
+        (head + "gate: pauli a=0 z=BAD x=(0,0)\n", 3, "z part"),
+        (head + "gate: pauli a=0 z=(0,0) x=BAD\n", 3, "x part"),
+    ]
+    table_sites = [
+        ("(0,0) -> (0,0)\nBAD -> (1,1)\n", 2, "source"),
+        ("(0,0) -> BAD\n", 1, "image"),
+    ]
+    group = AbelianGroup((2, 4))
+    for bad, reason in [
+        ("(1,0,0)", "residue count does not match group: 3 residues, 2 factors"),
+        ("(0,4)", "residue 4 out of range for modulus 4"),
+        ("(0,-1)", "residue -1 out of range for modulus 4"),
+    ]:
+        for text, line_no, what in circuit_sites + table_sites:
+            with pytest.raises(CircuitValidationError) as exc:
+                if text.startswith("group:"):
+                    parse_circuit(text.replace("BAD", bad))
+                else:
+                    parse_permutation_table(group, text.replace("BAD", bad))
+            assert exc.value.line_no == line_no
+            assert exc.value.reason == f"{what}: {reason}"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# k = 2 generators, a shift, an auto over m = 3 factors and a pauli line:
+# k + 1 + m + 2 literals; the qft and quad lines carry none
+EVERY_LITERAL_SITE = """\
+group: 4 6 3
+state: coset gens=[(1,0,0),(0,2,1)] shift=(3,1,2)
+gate: qft targets=[1,2]
+gate: auto cols=[(1,0,0),(2,1,0),(0,0,2)]
+gate: quad ne=[36,0,0] nee=[36,36,0] ndd=[0,0,0]
+gate: pauli a=5 z=(1,0,0) x=(0,3,1)
+"""
+
+
+@pytest.mark.parametrize(
+    "text, literals",
+    [(EVERY_LITERAL_SITE, 2 + 1 + 3 + 2)]
+    + [
+        # in these files every "(" outside a comment opens an element literal
+        (t, "".join(line.split("#")[0] for line in t.splitlines()).count("("))
+        for t in (p.read_text() for p in sorted(GOLDEN.glob("*.nc")))
+    ],
+    ids=["every-site"] + [p.stem for p in sorted(GOLDEN.glob("*.nc"))],
+)
+def test_each_literal_is_checked_once_and_simulate_checks_none(
+    monkeypatch, text, literals
+):
+    checked = []
+    post_init = GroupElement.__post_init__
+
+    def counted(element):
+        checked.append(element)
+        post_init(element)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counted)
+    circuit = parse_circuit(text)
+    assert len(checked) == literals
+    checked.clear()
+    simulate(circuit.coset, circuit.gates).canonical
+    assert checked == []
 
 
 def test_malformed_element_literals_are_parse_errors():

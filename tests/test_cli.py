@@ -187,8 +187,11 @@ def test_missing_file(tmp_path):
         "group: 2 2\nstate: coset gens=[] shift=(1,,2)\n",
         "group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
         "gate: pauli a=0 z=(1;0) x=(0,0)\n",
+        "group: 2 2\nstate: coset gens=[] shift=(0,2)\n",
+        "group: 2 2\nstate: coset gens=[] shift=(0,0)\ngate: qft targets=[]\n",
+        "group: 2 2\nstate: coset gens=[] shift=(0,0)\ngate: qft targets=[2,2]\n",
     ],
-    ids=["shift", "pauli"],
+    ids=["shift", "pauli", "shift-range", "qft-empty", "qft-duplicate"],
 )
 def test_malformed_literal_exits_65_without_traceback(tmp_path, text):
     f = tmp_path / "bad.nc"

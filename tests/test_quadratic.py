@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from helpers import quad_product, quad_trivial, quad_validate_exhaustive
+from helpers import (
+    DenseQuadratic,
+    quad_product,
+    quad_trivial,
+    quad_validate_exhaustive,
+)
 from normsim.groups import AbelianGroup, character_exponent
 from normsim.homs import endo_validate
 from normsim.quadratic import (
@@ -108,7 +113,7 @@ def test_constructor_rejects_bad_encoding():
 def test_validate_catches_corruption():
     g = AbelianGroup((2, 2))
     cz = quad_cross(g, 0, 1, 1)
-    broken = QuadraticEncoding(
+    broken = DenseQuadratic(
         g, cz.n_diag, (cz.n_pair[0] + 1,), cz.n_double, validate=False
     )
     assert not quad_validate_exhaustive(broken)

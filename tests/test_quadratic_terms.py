@@ -165,22 +165,6 @@ def test_circuit_text_round_trip(seed):
     assert serialize_circuit(again) == text
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_unvalidated_encodings_return_their_raw_dense_values(seed):
-    rng = random.Random(300 + seed)
-    group = random_group(rng, max_factors=16)
-    m = group.num_factors
-    L = group.phase_modulus
-    parts = [
-        tuple(rng.randrange(-2 * L, 2 * L) * (rng.random() < 0.3) for _ in range(n))
-        for n in (m, m * (m - 1) // 2, m)
-    ]
-    xi = QuadraticEncoding(group, *parts, validate=False)
-    ref = DenseQuadratic(group, *parts, validate=False)
-    assert dense(xi) == tuple(tuple(v % L for v in part) for part in parts)
-    assert xi.terms == ref.terms
-
-
 def _stored_ints(value) -> int:
     if isinstance(value, int):
         return 1

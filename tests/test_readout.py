@@ -27,7 +27,7 @@ from normsim.engine import (
     init_stabilizer,
     output_distribution,
 )
-from normsim.groups import AbelianGroup, GroupElement, GroupMismatchError
+from normsim.groups import AbelianGroup, GroupMismatchError
 from normsim.homs import Subgroup, subgroup_contains
 from normsim.intlinalg import kernel_basis
 from normsim.pauli import pauli_label
@@ -153,13 +153,13 @@ def test_readout_builds_no_labels_on_z2_64(monkeypatch):
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
-    post_init = GroupElement.__post_init__
+    element = AbelianGroup.element
 
-    def counted_post_init(element):
+    def counted_element(group, residues):
         calls["elements"] += 1
-        post_init(element)
+        return element(group, residues)
 
-    monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
+    monkeypatch.setattr(AbelianGroup, "element", counted_element)
     dist = output_distribution(labels)
     assert calls["pauli_mul"] == calls["pauli_pow"] == 0
     assert 0 < calls["elements"] <= r + 1

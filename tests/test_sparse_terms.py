@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from helpers import bilinear_exponent, quad_product, random_endo
+from helpers import DenseQuadratic, bilinear_exponent, quad_product, random_endo
 from normsim.engine import PauliGate, QuadraticGate
 from normsim.groups import AbelianGroup, character_exponent
 from normsim.pauli import pauli_dagger, pauli_label, pauli_mul
@@ -208,7 +208,7 @@ def test_check_rejects_what_the_dense_check_rejects(seed):
         i = rng.randrange(m)
         shifts = (rng.randrange(1, L), (L // d[i]) * rng.randrange(1, d[i]))
         which[k] += rng.choice(shifts)
-        raw = QuadraticEncoding(group, *map(tuple, fields), validate=False)
+        raw = DenseQuadratic(group, *map(tuple, fields), validate=False)
         ok = dense_check_ok(raw)
         verdicts.add(ok)
         if ok:
@@ -233,6 +233,6 @@ def test_check_rejects_hand_broken_encodings():
         (z2z4, (1, 0), (1,), (2, 0)),
     ]
     for group, n1, n12, n2 in broken:
-        assert not dense_check_ok(QuadraticEncoding(group, n1, n12, n2, validate=False))
+        assert not dense_check_ok(DenseQuadratic(group, n1, n12, n2, validate=False))
         with pytest.raises(InvalidQuadratic):
             QuadraticEncoding(group, n1, n12, n2)
