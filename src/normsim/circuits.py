@@ -100,12 +100,34 @@ def parse_element_literal(text: str) -> tuple[int, ...]:
     m = _ELEMENT_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"malformed element literal {text!r}")
-    return _residues(m)
+    try:
+        return _residues(m, 0, "bad integer in element literal")
+    except CircuitError as err:
+        raise ValueError(err.reason) from None
 
 
-def _residues(m: re.Match) -> tuple[int, ...]:
+def _ints(tokens: list[str], line_no: int, reason: str) -> list[int]:
+    """int() of every token, as a CircuitParseError with this reason
+    when int() refuses one (one past its digit limit included).
+
+    Every integer the parser reads goes through here. A dense quad
+    line repeats a few values many times, so when at most half the
+    tokens are distinct, int() runs once per distinct token and the
+    list is mapped through a dict of them.
+    """
+    try:
+        distinct = set(tokens)
+        if 2 * len(distinct) > len(tokens):
+            return list(map(int, tokens))
+        value = dict(zip(distinct, map(int, distinct)))
+    except ValueError:
+        raise CircuitParseError(line_no, reason) from None
+    return list(map(value.__getitem__, tokens))
+
+
+def _residues(m: re.Match, line_no: int, reason: str) -> tuple[int, ...]:
     body = m.group(1)
-    return () if body is None else tuple(int(p) for p in body.split(","))
+    return () if body is None else tuple(_ints(body.split(","), line_no, reason))
 
 
 def parse_column_list(text: str) -> list[tuple[int, ...]]:
@@ -123,16 +145,14 @@ def _split_int_list(body: str, line_no: int, what: str) -> list[int]:
     body = body.strip()
     if not body:
         return []
-    try:
-        return [int(p) for p in body.split(",")]
-    except ValueError:
-        raise CircuitParseError(line_no, f"bad integer in {what} list") from None
+    return _ints(body.split(","), line_no, f"bad integer in {what} list")
 
 
 def _split_element_list(body: str, line_no: int, what: str) -> list[tuple[int, ...]]:
     if not _ELEMENT_LIST_RE.fullmatch(body):
         raise CircuitParseError(line_no, f"malformed element in {what} list")
-    return [_residues(m) for m in _ELEMENT_RE.finditer(body)]
+    reason = f"bad integer in {what} list"
+    return [_residues(m, line_no, reason) for m in _ELEMENT_RE.finditer(body)]
 
 
 def _checked_literal(
@@ -199,10 +219,7 @@ def parse_circuit(text: str) -> ParsedCircuit:
                     line_no,
                     f"group has {len(parts)} factors, at most {MAX_FACTORS} allowed",
                 )
-            try:
-                moduli = [int(p) for p in parts]
-            except ValueError:
-                raise CircuitParseError(line_no, "bad modulus") from None
+            moduli = _ints(parts, line_no, "bad modulus")
             if not moduli:
                 raise CircuitParseError(line_no, "group needs at least one factor")
             if any(d < 2 for d in moduli):
@@ -291,7 +308,7 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
                 if len(raw) != mf:
                     raise CircuitValidationError(line_no, f"ndd needs {mf} entries")
                 ndd = tuple(raw)
-            encoding = QuadraticEncoding(group, tuple(ne), tuple(nee), ndd)
+            encoding = QuadraticEncoding(group, ne, nee, ndd)
         except InvalidQuadratic as err:
             raise CircuitValidationError(
                 line_no, f"inconsistent quadratic exponents: {err}"
@@ -301,9 +318,8 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
     if m:
         z = _checked_literal(group, m.group("z"), line_no, "z part")
         x = _checked_literal(group, m.group("x"), line_no, "x part")
-        return PauliGate(
-            PauliLabel(PhaseExponent(group, int(m.group("a"))), z, x)
-        )
+        (a,) = _ints([m.group("a")], line_no, "bad integer in pauli a")
+        return PauliGate(PauliLabel(PhaseExponent(group, a), z, x))
     raise CircuitParseError(line_no, "malformed gate directive")
 
 

@@ -23,7 +23,7 @@ from .circuits import (
     serialize_gate,
 )
 from .engine import QuadraticGate, sample_stream, simulate
-from .groups import DENSE_BOUND, ENUM_BOUND, AbelianGroup, BoundExceeded
+from .groups import DENSE_BOUND, ENUM_BOUND, AbelianGroup, BoundExceeded, GroupElement
 from .homs import EndoMatrix, InvalidEndomorphism
 from .quadratic import InvalidQuadratic, build_quadratic
 
@@ -233,7 +233,7 @@ def _cmd_quadgen(args) -> int:
             cols = parse_column_list(args.cols)
             if len(cols) != m:
                 raise _UsageError(f"need {m} columns")
-            endo = EndoMatrix(group, tuple(group.element(c) for c in cols))
+            endo = EndoMatrix(group, tuple(GroupElement(group, c) for c in cols))
             enc = build_quadratic(group, "from_endo", endo=endo)
     except (InvalidQuadratic, InvalidEndomorphism, ValueError) as err:
         raise _InputError(str(err)) from None

@@ -3,6 +3,9 @@
 The input coset state is fixed by an explicit set of commuting Pauli
 labels. The labels are held as one column-major tableau, and each gate
 rewrites, in closed form, only the columns of the factors it acts on.
+Pauli gates only move phases, so they are folded into one frame row
+that the other gates carry along, and its phases are applied once at
+the end.
 At the end the measurement statistics are read off the final labels:
 the support is a coset offset + <x parts>, and the offset is pinned
 down by the purely diagonal stabilizer elements. Sampling the uniform
@@ -81,6 +84,13 @@ class Tableau:
     z[i] and x[i] list factor i's residues over the rows, and phase the
     rows' exponents mod 2|G|, as plain ints: a gate rewrites only the
     columns of the factors it touches and builds no group element.
+
+    The first Pauli gate appends one more row, the Pauli frame (as in
+    Stim, arXiv:2103.02202): the product F of the Pauli gates so far, up
+    to phase. Later gates conjugate it like any other row and a Pauli
+    gate only adds its parts into it, so the circuit acts as F U' with U'
+    its other gates. labels() applies F's commutation character to every
+    row once and drops the frame; F's own phase never matters.
     """
 
     def __init__(self, labels: Sequence[PauliLabel]):
@@ -88,8 +98,36 @@ class Tableau:
         self.z = [list(col) for col in zip(*(s.z_part.residues for s in labels))]
         self.x = [list(col) for col in zip(*(s.x_part.residues for s in labels))]
         self.phase = [s.phase.value for s in labels]
+        self.framed = False
+
+    def add_to_frame(self, p: PauliLabel) -> None:
+        if not self.framed:
+            for col in (*self.z, *self.x, self.phase):
+                col.append(0)
+            self.framed = True
+        d = self.group.moduli
+        for cols, part in ((self.z, p.z_part), (self.x, p.x_part)):
+            for i, v in part.nonzero_residues:
+                cols[i][-1] = (cols[i][-1] + v) % d[i]
+
+    def _flush_frame(self) -> None:
+        # For F ~ Z(g) X(h): F Z(z) X(x) F^dagger = chi_g(x) chi_z(-h) Z(z) X(x),
+        # so only the phase moves.
+        d, L = self.group.moduli, self.group.phase_modulus
+        g = [col.pop() for col in self.z]
+        h = [col.pop() for col in self.x]
+        self.phase.pop()
+        self.framed = False
+        terms = [((L // d[i]) * v, self.x[i]) for i, v in enumerate(g) if v]
+        terms += [(-(L // d[i]) * v, self.z[i]) for i, v in enumerate(h) if v]
+        if terms:
+            coefs, cols = zip(*terms)
+            rows = zip(self.phase, zip(*cols))
+            self.phase = [(a + sum(map(mul, coefs, row))) % L for a, row in rows]
 
     def labels(self) -> tuple[PauliLabel, ...]:
+        if self.framed:
+            self._flush_frame()
         # every gate keeps the columns reduced, so the rows need no check
         g, element = self.group, GroupElement._reduced
         rows = zip(self.phase, zip(*self.z), zip(*self.x))
@@ -221,15 +259,7 @@ class PauliGate:
 
     @_on_tableau
     def conjugate(self, tab: Tableau) -> None:
-        # For P ~ Z(g) X(h): P Z(z) X(x) P^dagger = chi_g(x) chi_z(-h) Z(z) X(x),
-        # so only the phase moves.
-        p, d, L = self.label, self.group.moduli, self.group.phase_modulus
-        terms = [((L // d[i]) * g, tab.x[i]) for i, g in p.z_part.nonzero_residues]
-        terms += [(-(L // d[i]) * h, tab.z[i]) for i, h in p.x_part.nonzero_residues]
-        if terms:
-            coefs, cols = zip(*terms)
-            rows = zip(tab.phase, zip(*cols))
-            tab.phase = [(a + sum(map(mul, coefs, row))) % L for a, row in rows]
+        tab.add_to_frame(self.label)
 
 
 Gate = FourierGate | AutomorphismGate | QuadraticGate | PauliGate

@@ -24,8 +24,10 @@ always denotes an actual quadratic function.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .groups import AbelianGroup, GroupElement, PhaseExponent
@@ -60,13 +62,20 @@ class QuadraticEncoding:
         if len(n_pair) != m * (m - 1) // 2:
             raise ValueError("pair exponent count does not match group")
         n1 = [int(v) % L for v in n_diag]
-        it = map(int, n_pair)
-        pairs = [
-            (i, j, b)
-            for i in range(m)
-            for j in range(i + 1, m)
-            if (b := (next(it) - n1[i] - n1[j]) % L)
-        ]
+        # b_ij = n_pair_ij - n_i - n_j can be nonzero only in a slot whose
+        # n_pair_ij is nonzero or in the row or column of a nonzero n_i;
+        # a C-level pass finds those slots and Python reads only them
+        start = [i * m - i * (i + 1) // 2 for i in range(m)]  # slot of (i, i+1)
+        slots = set(compress(range(len(n_pair)), n_pair))
+        for i in compress(range(m), n1):
+            slots.update(range(start[i], start[i] + m - 1 - i))
+            slots.update(start[k] + i - k - 1 for k in range(i))
+        pairs = []
+        for s in sorted(slots):
+            i = bisect_right(start, s) - 1
+            j = s - start[i] + i + 1
+            if b := (int(n_pair[s]) - n1[i] - n1[j]) % L:
+                pairs.append((i, j, b))
         diag = [(i, n, int(v) - 2 * n) for i, (n, v) in enumerate(zip(n1, n_double))]
         self._store(group, diag, pairs)
 

@@ -165,6 +165,16 @@ def test_quadgen_emits_valid_gate_line(tmp_path, capsys):
     assert main(["verify", str(f)]) == 0
 
 
+def test_quadgen_from_endo_rejects_unreduced_columns(capsys):
+    # the same literal as a circuit file's auto cols: a residue out of
+    # range is an input error, not reduced away
+    args = ["quadgen", "--group", "2", "2", "--kind", "from-endo"]
+    assert main(args + ["--cols", "[(5,0),(0,-1)]"]) == 65
+    assert "residue 5 out of range for modulus 2" in capsys.readouterr().err
+    assert main(args + ["--cols", "[(1,0),(0,1)]"]) == 0
+    assert capsys.readouterr().out.startswith("gate: quad")
+
+
 def test_quadgen_character(capsys):
     assert main(["quadgen", "--group", "4", "--kind", "character", "--factor", "1", "--a", "3"]) == 0
     assert capsys.readouterr().out.startswith("gate: quad")
@@ -181,6 +191,9 @@ def test_missing_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.nc")]) == 65
 
 
+HUGE = "1" + "0" * 5000
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -190,8 +203,18 @@ def test_missing_file(tmp_path):
         "group: 2 2\nstate: coset gens=[] shift=(0,2)\n",
         "group: 2 2\nstate: coset gens=[] shift=(0,0)\ngate: qft targets=[]\n",
         "group: 2 2\nstate: coset gens=[] shift=(0,0)\ngate: qft targets=[2,2]\n",
+        # past int()'s 4,300-digit limit for str -> int conversion
+        f"group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
+        f"gate: pauli a={HUGE} z=(0,0) x=(0,0)\n",
+        f"group: 2 2\nstate: coset gens=[({HUGE},0)] shift=(0,0)\n",
+        f"group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
+        f"gate: auto cols=[(1,0),(0,{HUGE})]\n",
+        f"group: 2 2\nstate: coset gens=[] shift=({HUGE},0)\n",
     ],
-    ids=["shift", "pauli", "shift-range", "qft-empty", "qft-duplicate"],
+    ids=[
+        "shift", "pauli", "shift-range", "qft-empty", "qft-duplicate",
+        "pauli-a-digits", "gens-digits", "cols-digits", "shift-digits",
+    ],
 )
 def test_malformed_literal_exits_65_without_traceback(tmp_path, text):
     f = tmp_path / "bad.nc"

@@ -20,6 +20,7 @@ from normsim.engine import (
     FourierGate,
     PauliGate,
     QuadraticGate,
+    Tableau,
     conjugate_circuit,
     simulate,
 )
@@ -219,3 +220,70 @@ def test_conjugation_builds_only_the_final_labels(monkeypatch):
     out = conjugate_circuit(labels, gates)
     assert len(out) == m
     assert built <= 2 * m
+
+
+def pauli_dense_circuit(rng, group, n_gates):
+    """Runs of one to five Pauli gates between single other gates, with a
+    Pauli gate first and last."""
+    others = [k for k in KINDS if k != "pauli"]
+    gates = []
+    while len(gates) < n_gates:
+        gates += [random_gate(rng, group, "pauli") for _ in range(rng.randint(1, 5))]
+        gates.append(random_gate(rng, group, rng.choice(others)))
+    gates.append(random_gate(rng, group, "pauli"))
+    return gates
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pauli_frame_matches_per_label_reference(seed):
+    rng = random.Random(400 + seed)
+    group = random_group(rng)
+    labels = [random_label(rng, group) for _ in range(rng.randint(1, 8))]
+    gates = pauli_dense_circuit(rng, group, 30)
+    assert conjugate_circuit(labels, gates) == reference_circuit(labels, gates)
+    for cut in (gates[:1], gates[1:], gates[:-1], gates[-2:]):
+        assert conjugate_circuit(labels, cut) == reference_circuit(labels, cut)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "pauli"])
+def test_pauli_frame_on_either_side_of_each_kind(kind):
+    rng = random.Random(500 + len(kind))
+    for _ in range(4):
+        group = random_group(rng)
+        labels = [random_label(rng, group) for _ in range(4)]
+        p, q = (random_gate(rng, group, "pauli") for _ in range(2))
+        g = random_gate(rng, group, kind)
+        for gates in ([p, g], [g, p], [p, g, q], [p, q, g, g]):
+            assert conjugate_circuit(labels, gates) == reference_circuit(labels, gates)
+
+
+def test_labels_flush_the_frame_once():
+    rng = random.Random(600)
+    group = AbelianGroup((2, 4, 6, 9, 2**40, 10**9 + 7))
+    labels = [random_label(rng, group) for _ in range(5)]
+    first = pauli_dense_circuit(rng, group, 12)
+    second = pauli_dense_circuit(rng, group, 12)
+    tab = Tableau(labels)
+    for gate in first:
+        gate.conjugate(tab)
+    read = tab.labels()
+    assert read == reference_circuit(labels, first)
+    assert tab.labels() == read
+    # conjugation goes on after a read, with a fresh frame
+    for gate in second:
+        gate.conjugate(tab)
+    assert tab.labels() == reference_circuit(labels, first + second)
+    assert len(tab.phase) == len(labels)
+
+
+def test_a_circuit_without_pauli_gates_adds_no_frame_row():
+    rng = random.Random(700)
+    group = random_group(rng, max_factors=8)
+    labels = [random_label(rng, group) for _ in range(3)]
+    tab = Tableau(labels)
+    for gate in random_circuit(rng, group, 20):
+        if not isinstance(gate, PauliGate):
+            gate.conjugate(tab)
+            assert len(tab.phase) == len(labels)
+    PauliGate(random_label(rng, group)).conjugate(tab)
+    assert len(tab.phase) == len(labels) + 1
