@@ -65,7 +65,7 @@ def modexp_permutation(a: int, m: int, n: int) -> PermutationSpec:
 def parse_permutation_table(group: AbelianGroup, text: str) -> PermutationSpec:
     """Permutation table file: one `(g) -> (h)` line per element."""
     mapping: dict[GroupElement, GroupElement] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -73,15 +73,13 @@ def parse_permutation_table(group: AbelianGroup, text: str) -> PermutationSpec:
         if len(parts) != 2:
             raise CircuitParseError(line_no, "expected `(g) -> (h)`")
         try:
-            src = checked_element(
-                group, parse_element_literal(parts[0]), line_no, "source"
+            src, dst = (
+                checked_element(group, parse_element_literal(p), line_no, what)
+                for p, what in zip(parts, ("source", "image"))
             )
-            dst = checked_element(
-                group, parse_element_literal(parts[1]), line_no, "image"
-            )
+        except CircuitError:
+            raise
         except ValueError as err:
-            if isinstance(err, CircuitError):
-                raise
             raise CircuitParseError(line_no, str(err)) from None
         if src in mapping:
             raise CircuitValidationError(line_no, f"duplicate source {src}")

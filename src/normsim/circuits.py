@@ -12,7 +12,8 @@ internally. The full grammar:
     gate: quad ne=[..] nee=[..] ndd=[..]
     gate: pauli a=<int> z=(..) x=(..)
 
-The group line comes first and the state line precedes all gates. Gate
+Only "\n" ends a line, so error line numbers agree with grep -n. The
+group line comes first and the state line precedes all gates. Gate
 lines are applied in file order. Every integer (moduli, targets, list
 entries, residues, the Pauli phase a) is written -?[0-9]+: ASCII digits
 with an optional minus sign, no '+' and no '_' separators. A group has
@@ -23,7 +24,8 @@ stores a quadratic function by its exponents at the generators (ne), at
 pairwise sums of generators (nee, row-major i<j), and at doubled
 generators (ndd). The ndd list is optional on input; when absent, the
 smallest consistent doubled values are chosen, and serialization always
-writes them out.
+writes them out. A quad line's tokens are converted once per distinct
+token, so a dense line costs about its split.
 """
 
 from __future__ import annotations
@@ -49,12 +51,8 @@ from .pauli import PauliLabel
 from .quadratic import (
     InvalidQuadratic,
     QuadraticEncoding,
+    build_quadratic,
     derive_double_exponents,
-    quad_character,
-    quad_cross,
-    quad_from_endo,
-    quad_half,
-    quad_square,
 )
 
 
@@ -85,49 +83,55 @@ class ParsedCircuit:
     gates: tuple[Gate, ...]
 
 
-_ELEMENT_RE = re.compile(r"\(\s*(-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*)?\)")
+# int() also takes '+', '_' and non-ASCII digits; on text made of these
+# characters alone it accepts exactly the grammar's -?[0-9]+ tokens
+_INT_LIST = r"[-0-9,\s]*"
+_INT_TOKEN = re.compile(r"\s*-?[0-9]+\s*")
+_INT_CHARS = re.compile(r"[-0-9\s]*")
+_ELEMENT_RE = re.compile(rf"\(({_INT_LIST})\)")
 # "(..), (..)," with an optional trailing comma, as in "gens=[...]"
 _ELEMENT_LIST_RE = re.compile(
     rf"\s*(?:{_ELEMENT_RE.pattern}\s*(?:,\s*{_ELEMENT_RE.pattern}\s*)*(?:,\s*)?)?"
 )
-# int() also takes '+', '_' and non-ASCII digits; on text made of these
-# characters alone it accepts exactly the grammar's -?[0-9]+ tokens
-_INT_LIST = r"[-0-9,\s]*"
+
+
+def _ints(tokens: list[str], line_no: int, reason: str) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise CircuitParseError(line_no, reason) from None
+
+
+def _tokens(body: str | None) -> list[str]:
+    return body.split(",") if body and not body.isspace() else []
+
+
+def _elements(bodies, line_no: int, malformed: str, bad: str) -> list[tuple[int, ...]]:
+    """Residue tuples of literal bodies that matched _ELEMENT_RE, "1,3"
+    of "(1,3)"; int() takes each token unless it is empty, holds an inner
+    space or an inner sign, or runs past int()'s digit limit."""
+    try:
+        return [tuple(map(int, _tokens(b))) for b in bodies]
+    except ValueError:  # a malformed token outranks one past the digit limit
+        tokens = [t for b in bodies for t in _tokens(b)]
+        reason = bad if all(map(_INT_TOKEN.fullmatch, tokens)) else malformed
+        raise CircuitParseError(line_no, reason) from None
+
+
+def _literal(text: str, line_no: int, malformed: str, bad: str) -> tuple[int, ...]:
+    m = _ELEMENT_RE.fullmatch(text.strip())
+    if not m:
+        raise CircuitParseError(line_no, malformed)
+    return _elements(m.groups(), line_no, malformed, bad)[0]
 
 
 def parse_element_literal(text: str) -> tuple[int, ...]:
     """Residue tuple from a "(1,3)" literal; raises ValueError on junk."""
-    m = _ELEMENT_RE.fullmatch(text.strip())
-    if not m:
-        raise ValueError(f"malformed element literal {text!r}")
+    malformed = f"malformed element literal {text!r}"
     try:
-        return _residues(m, 0, "bad integer in element literal")
+        return _literal(text, 0, malformed, "bad integer in element literal")
     except CircuitError as err:
         raise ValueError(err.reason) from None
-
-
-def _ints(tokens: list[str], line_no: int, reason: str) -> list[int]:
-    """int() of every token, as a CircuitParseError with this reason
-    when int() refuses one (one past its digit limit included).
-
-    Every integer the parser reads goes through here. A dense quad
-    line repeats a few values many times, so when at most half the
-    tokens are distinct, int() runs once per distinct token and the
-    list is mapped through a dict of them.
-    """
-    try:
-        distinct = set(tokens)
-        if 2 * len(distinct) > len(tokens):
-            return list(map(int, tokens))
-        value = dict(zip(distinct, map(int, distinct)))
-    except ValueError:
-        raise CircuitParseError(line_no, reason) from None
-    return list(map(value.__getitem__, tokens))
-
-
-def _residues(m: re.Match, line_no: int, reason: str) -> tuple[int, ...]:
-    body = m.group(1)
-    return () if body is None else tuple(_ints(body.split(","), line_no, reason))
 
 
 def parse_column_list(text: str) -> list[tuple[int, ...]]:
@@ -141,28 +145,20 @@ def parse_column_list(text: str) -> list[tuple[int, ...]]:
         raise ValueError(err.reason) from None
 
 
-def _split_int_list(body: str, line_no: int, what: str) -> list[int]:
-    body = body.strip()
-    if not body:
-        return []
-    return _ints(body.split(","), line_no, f"bad integer in {what} list")
-
-
 def _split_element_list(body: str, line_no: int, what: str) -> list[tuple[int, ...]]:
+    malformed = f"malformed element in {what} list"
     if not _ELEMENT_LIST_RE.fullmatch(body):
-        raise CircuitParseError(line_no, f"malformed element in {what} list")
-    reason = f"bad integer in {what} list"
-    return [_residues(m, line_no, reason) for m in _ELEMENT_RE.finditer(body)]
+        raise CircuitParseError(line_no, malformed)
+    bad = f"bad integer in {what} list"
+    return _elements(_ELEMENT_RE.findall(body), line_no, malformed, bad)
 
 
 def _checked_literal(
     group: AbelianGroup, text: str, line_no: int, what: str
 ) -> GroupElement:
     """checked_element of a "(..)" literal; a malformed one is a parse error."""
-    try:
-        residues = parse_element_literal(text)
-    except ValueError:
-        raise CircuitParseError(line_no, f"malformed {what} literal") from None
+    reason = f"malformed {what} literal"
+    residues = _literal(text, line_no, reason, reason)
     return checked_element(group, residues, line_no, what)
 
 
@@ -186,9 +182,9 @@ _QFT_RE = re.compile(
 )
 _AUTO_RE = re.compile(r"gate:\s*auto\s+cols\s*=\s*\[(?P<cols>[^\]]*)\]\s*$")
 _QUAD_RE = re.compile(
-    rf"gate:\s*quad\s+ne\s*=\s*\[(?P<ne>{_INT_LIST})\]\s*"
-    rf"nee\s*=\s*\[(?P<nee>{_INT_LIST})\]"
-    rf"(?:\s*ndd\s*=\s*\[(?P<ndd>{_INT_LIST})\])?\s*$"
+    r"gate:\s*quad\s+ne\s*=\s*\[(?P<ne>[^\]]*)\]\s*"
+    r"nee\s*=\s*\[(?P<nee>[^\]]*)\]"
+    r"(?:\s*ndd\s*=\s*\[(?P<ndd>[^\]]*)\])?\s*$"
 )
 _PAULI_RE = re.compile(
     r"gate:\s*pauli\s+a\s*=\s*(?P<a>-?[0-9]+)\s+"
@@ -201,9 +197,9 @@ def parse_circuit(text: str) -> ParsedCircuit:
     group: AbelianGroup | None = None
     coset: CosetInput | None = None
     gates: list[Gate] = []
-    last_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
+    # only "\n" ends a line, as for grep -n; strip() drops a "\r" before it
+    lines = text.split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -247,17 +243,18 @@ def parse_circuit(text: str) -> ParsedCircuit:
             gates.append(_parse_gate(group, line, line_no))
         else:
             raise CircuitParseError(line_no, f"unknown directive {line.split(':')[0]!r}")
+    end = len(lines) + (lines[-1] != "")  # the line after the last one
     if group is None:
-        raise CircuitParseError(last_line + 1, "missing group declaration")
+        raise CircuitParseError(end, "missing group declaration")
     if coset is None:
-        raise CircuitParseError(last_line + 1, "missing state declaration")
+        raise CircuitParseError(end, "missing state declaration")
     return ParsedCircuit(group, coset, tuple(gates))
 
 
 def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
     m = _QFT_RE.fullmatch(line)
     if m:
-        targets = _split_int_list(m.group("t"), line_no, "targets")
+        targets = _ints(_tokens(m.group("t")), line_no, "bad integer in targets list")
         for t in targets:
             if not 1 <= t <= group.num_factors:
                 raise CircuitValidationError(
@@ -291,8 +288,17 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
             raise CircuitValidationError(line_no, "matrix is not invertible") from None
     m = _QUAD_RE.fullmatch(line)
     if m:
-        ne = _split_int_list(m.group("ne"), line_no, "ne")
-        nee = _split_int_list(m.group("nee"), line_no, "nee")
+        ne, nee, ndd = map(_tokens, m.group("ne", "nee", "ndd"))
+        distinct = set(ne).union(nee, ndd)
+        # the line pattern takes any list body; its tokens are checked here
+        if not _INT_CHARS.fullmatch("".join(distinct)):
+            raise CircuitParseError(line_no, "malformed gate directive")
+        try:  # int() once per distinct token of the three lists
+            value = dict(zip(distinct, map(int, distinct)))
+        except ValueError:  # name the first list that holds a bad one
+            _ints(ne, line_no, "bad integer in ne list")
+            _ints(nee, line_no, "bad integer in nee list")
+            value = None
         mf = group.num_factors
         if len(ne) != mf:
             raise CircuitValidationError(line_no, f"ne needs {mf} entries")
@@ -302,13 +308,13 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
             )
         try:
             if m.group("ndd") is None:
-                ndd = derive_double_exponents(group, tuple(ne))
-            else:
-                raw = _split_int_list(m.group("ndd"), line_no, "ndd")
-                if len(raw) != mf:
-                    raise CircuitValidationError(line_no, f"ndd needs {mf} entries")
-                ndd = tuple(raw)
-            encoding = QuadraticEncoding(group, ne, nee, ndd)
+                ndd = derive_double_exponents(group, tuple(map(value.get, ne)))
+                value.update(zip(ndd, ndd))
+            elif value is None:
+                raise CircuitParseError(line_no, "bad integer in ndd list")
+            elif len(ndd) != mf:
+                raise CircuitValidationError(line_no, f"ndd needs {mf} entries")
+            encoding = QuadraticEncoding(group, ne, nee, ndd, value)
         except InvalidQuadratic as err:
             raise CircuitValidationError(
                 line_no, f"inconsistent quadratic exponents: {err}"
@@ -355,13 +361,10 @@ def serialize_gate(gate: Gate) -> str:
 def _random_valid_endo(rng: random.Random, group: AbelianGroup) -> EndoMatrix:
     """Any endomorphism: entry (k, i) must be a multiple of d_k/gcd(d_i, d_k)."""
     d = group.moduli
-    cols = []
-    for i in range(group.num_factors):
-        col = []
-        for k in range(group.num_factors):
-            g = math.gcd(d[i], d[k])
-            col.append(rng.randrange(g) * (d[k] // g))
-        cols.append(group.element(col))
+    cols = [
+        group.element([rng.randrange(g := math.gcd(di, dk)) * (dk // g) for dk in d])
+        for di in d
+    ]
     return EndoMatrix(group, tuple(cols))
 
 
@@ -371,21 +374,16 @@ def _random_automorphism(rng: random.Random, group: AbelianGroup) -> Automorphis
     m = group.num_factors
     matrix = EndoMatrix.identity(group)
     for _ in range(rng.randint(1, 3)):
+        cols = list(EndoMatrix.identity(group).columns)
         if m >= 2 and rng.random() < 0.5:
             i, j = rng.sample(range(m), 2)
             g = math.gcd(d[i], d[j])
-            c = rng.randrange(g) * (d[j] // g)
-            cols = list(EndoMatrix.identity(group).columns)
-            cols[i] = cols[i] + c * group.unit(j)
-            step = EndoMatrix(group, tuple(cols))
+            cols[i] = cols[i] + rng.randrange(g) * (d[j] // g) * group.unit(j)
         else:
             i = rng.randrange(m)
             units = [a for a in range(1, d[i]) if math.gcd(a, d[i]) == 1]
-            a = rng.choice(units)
-            cols = list(EndoMatrix.identity(group).columns)
-            cols[i] = a * group.unit(i)
-            step = EndoMatrix(group, tuple(cols))
-        matrix = step.compose(matrix)
+            cols[i] = rng.choice(units) * group.unit(i)
+        matrix = EndoMatrix(group, tuple(cols)).compose(matrix)
     return AutomorphismGate(matrix)
 
 
@@ -399,17 +397,12 @@ def _random_quadratic(rng: random.Random, group: AbelianGroup) -> QuadraticGate:
     if kind == "cross":
         i, j = rng.sample(range(m), 2)
         g = math.gcd(d[i], d[j])
-        enc = quad_cross(group, i, j, rng.randrange(g) * (d[j] // g))
+        enc = build_quadratic(group, kind, i=i, j=j, c=rng.randrange(g) * (d[j] // g))
     elif kind == "from_endo":
-        enc = quad_from_endo(_random_valid_endo(rng, group))
+        enc = build_quadratic(group, kind, endo=_random_valid_endo(rng, group))
     else:
         t = rng.randrange(m)
-        builder = {
-            "character": quad_character,
-            "square": quad_square,
-            "half": quad_half,
-        }[kind]
-        enc = builder(group, t, rng.randrange(2 * d[t]))
+        enc = build_quadratic(group, kind, factor=t, a=rng.randrange(2 * d[t]))
     return QuadraticGate(enc)
 
 
@@ -423,10 +416,7 @@ def random_instance(
     while True:
         m = rng.randint(1, 3)
         moduli = tuple(rng.randint(2, 12) for _ in range(m))
-        order = 1
-        for dd in moduli:
-            order *= dd
-        if order <= max_order:
+        if math.prod(moduli) <= max_order:
             break
     group = AbelianGroup(moduli)
     gens = tuple(

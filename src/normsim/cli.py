@@ -105,11 +105,14 @@ def _build_parser() -> _Parser:
 
 
 def _read_file(path: str) -> str:
+    # bytes, so that a lone "\r" stays inside its line as for grep -n
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
     except OSError as err:
         raise _InputError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise _InputError(f"{path}: not UTF-8 text at byte {err.start}") from None
 
 
 def _load_circuit(path: str) -> ParsedCircuit:
@@ -144,11 +147,7 @@ def _cmd_verify(args) -> int:
     from .oracle import compare_with_engine
 
     circuit = _load_circuit(args.file)
-    try:
-        report = compare_with_engine(circuit.coset, circuit.gates, bound=args.bound)
-    except BoundExceeded as err:
-        print(f"normsim: {err}", file=sys.stderr)
-        return EXIT_BOUND
+    report = compare_with_engine(circuit.coset, circuit.gates, bound=args.bound)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -161,11 +160,7 @@ def _cmd_affine_test(args) -> int:
             raise _UsageError("modexp spec must be modexp:a,m,N") from None
         if m < 0 or n < 2:
             raise _UsageError("modexp needs m >= 0 and N >= 2")
-        try:
-            spec = modexp_permutation(a, m, n)
-        except BoundExceeded as err:
-            print(f"normsim: {err}", file=sys.stderr)
-            return EXIT_BOUND
+        spec = modexp_permutation(a, m, n)
         if args.group and tuple(args.group) != spec.group.moduli:
             raise _UsageError(
                 f"--group {args.group} conflicts with modexp group "
@@ -181,11 +176,7 @@ def _cmd_affine_test(args) -> int:
             spec = parse_permutation_table(group, _read_file(args.perm))
         except CircuitError as err:
             raise _InputError(f"{args.perm}: {err}") from None
-    try:
-        print(affine_test(spec))
-    except BoundExceeded as err:
-        print(f"normsim: {err}", file=sys.stderr)
-        return EXIT_BOUND
+    print(affine_test(spec))
     return EXIT_OK
 
 
@@ -214,19 +205,13 @@ def _cmd_quadgen(args) -> int:
         if kind in ("character", "square", "half"):
             if args.a is None:
                 raise _UsageError("--a is required for this kind")
-            enc = build_quadratic(
-                group, kind, factor=factor_index(args.factor, "factor"), a=args.a
-            )
+            factor = factor_index(args.factor, "factor")
+            enc = build_quadratic(group, kind, factor=factor, a=args.a)
         elif kind == "cross":
             if args.c is None:
                 raise _UsageError("--c is required for cross")
-            enc = build_quadratic(
-                group,
-                "cross",
-                i=factor_index(args.i, "i"),
-                j=factor_index(args.j, "j"),
-                c=args.c,
-            )
+            i, j = factor_index(args.i, "i"), factor_index(args.j, "j")
+            enc = build_quadratic(group, "cross", i=i, j=j, c=args.c)
         else:
             if not args.cols:
                 raise _UsageError("--cols is required for from-endo")
@@ -269,6 +254,9 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"normsim: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BoundExceeded as err:
+        print(f"normsim: {err}", file=sys.stderr)
+        return EXIT_BOUND
     except (_InputError, CircuitError) as err:
         print(f"normsim: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,9 +11,11 @@ B(e^i, e^j). An encoding stores only the nonzero terms of this sum,
 reduced mod 2*order, so everything that reads it costs what its terms
 cost. The file format instead carries the exponents at the generators
 (n_diag = n_i), at pairwise sums (n_pair = n_i + n_j + b_ij, row-major
-i<j) and at doubled generators (n_double = 2 n_i + b_ii); the
-constructor takes these dense lists and the attributes of those names
-are views that give them back.
+i<j) and at doubled generators (n_double = 2 n_i + b_ii). The
+constructor takes these dense lists, as ints or as the parser's
+decimal tokens, and spends Python work only on their distinct values
+and on the slots that can hold a term; the attributes of those names
+are views that give the lists back.
 
 Encodings are checked at construction: every b_ij must die when
 multiplied by d_i or d_j (B takes d_i-th-root values in slot i) and
@@ -26,9 +28,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import accumulate, compress
 from math import gcd
+from operator import add, or_
 
 from .groups import AbelianGroup, GroupElement, PhaseExponent
 from .homs import EndoMatrix
@@ -54,38 +57,55 @@ class QuadraticEncoding:
     group: AbelianGroup
     terms: tuple[tuple[Term, ...], tuple[Term, ...]]
 
-    def __init__(self, group, n_diag, n_pair, n_double):
-        m = group.num_factors
-        L = group.phase_modulus
+    def __init__(self, group, n_diag, n_pair, n_double, value=None):
+        """Terms from dense lists of ints or of the parser's decimal tokens;
+        `value` maps each distinct entry to its integer (int() when None).
+        Python work goes to those values, to the slots whose value is
+        nonzero mod 2|G| and to the rows and columns of nonzero n_i, since
+        b_ij = n_pair_ij - n_i - n_j is zero everywhere else."""
+        m, L = group.num_factors, group.phase_modulus
         if len(n_diag) != m or len(n_double) != m:
             raise ValueError("diagonal exponent count does not match group")
         if len(n_pair) != m * (m - 1) // 2:
             raise ValueError("pair exponent count does not match group")
-        n1 = [int(v) % L for v in n_diag]
-        # b_ij = n_pair_ij - n_i - n_j can be nonzero only in a slot whose
-        # n_pair_ij is nonzero or in the row or column of a nonzero n_i;
-        # a C-level pass finds those slots and Python reads only them
-        start = [i * m - i * (i + 1) // 2 for i in range(m)]  # slot of (i, i+1)
-        slots = set(compress(range(len(n_pair)), n_pair))
-        for i in compress(range(m), n1):
-            slots.update(range(start[i], start[i] + m - 1 - i))
-            slots.update(start[k] + i - k - 1 for k in range(i))
+        if value is None:
+            value = {v: int(v) for v in {*n_diag, *n_pair, *n_double}}
+        r = {t: v % L for t, v in value.items()}  # each entry's value mod 2|G|
+        live = [t for t, v in r.items() if v]
+        n1 = list(map(r.__getitem__, n_diag))
+        nonzero = compress(range(m), map(or_, n1, map(r.__getitem__, n_double)))
+        diag = [(i, n1[i], (r[n_double[i]] - 2 * n1[i]) % L) for i in nonzero]
+        hot = list(compress(range(m), n1))
+        start = _row_starts(m)
+        cand, n = [], len(n_pair)
+        if len(live) > 2:  # one pass then costs less than a scan per value
+            cand, live = list(compress(range(n), map(r.__getitem__, n_pair))), []
+        # in the row and column of a nonzero n_i, the slots whose value is
+        # not n_i and those meeting a second such row; the scans below run
+        # on a copy with these slots blanked and each live value appended
+        work = [*n_pair, *live]
+        for i in hot:
+            for s in (*map(add, start[:i], range(i - 1, -1, -1)),
+                      *range(start[i], start[i] + m - 1 - i)):
+                if r[n_pair[s]] != n1[i]:
+                    cand.append(s)
+                work[s] = None
+            cand += [start[i] + j - i - 1 for j in hot if j > i]
+        for t in live:
+            s = -1
+            while (s := work.index(t, s + 1)) < n:
+                cand.append(s)
         pairs = []
-        for s in sorted(slots):
+        for s in sorted(set(cand)):
             i = bisect_right(start, s) - 1
             j = s - start[i] + i + 1
-            if b := (int(n_pair[s]) - n1[i] - n1[j]) % L:
-                pairs.append((i, j, b))
-        diag = [(i, n, int(v) - 2 * n) for i, (n, v) in enumerate(zip(n1, n_double))]
-        self._store(group, diag, pairs)
+            if v := (r[n_pair[s]] - n1[i] - n1[j]) % L:
+                pairs.append((i, j, v))
+        self._store(group, tuple(diag), tuple(pairs))
 
     def _store(self, group, diag, pairs) -> None:
-        L = group.phase_modulus
-        diag = tuple((i, n % L, b % L) for i, n, b in diag if n % L or b % L)
         object.__setattr__(self, "group", group)
-        object.__setattr__(
-            self, "terms", (diag, tuple((i, j, b % L) for i, j, b in pairs if b % L))
-        )
+        object.__setattr__(self, "terms", (diag, pairs))
         self._check()
 
     @cached_property
@@ -130,10 +150,18 @@ class QuadraticEncoding:
                 )
 
 
+@lru_cache(maxsize=64)
+def _row_starts(m: int) -> tuple[int, ...]:
+    """The slot of pair (i, i+1) in row-major i < j order, for each i."""
+    return tuple(accumulate(range(m - 1, 0, -1), initial=0))
+
+
 def _from_terms(group: AbelianGroup, diag, pairs) -> QuadraticEncoding:
     """The validated encoding with these terms, ordered as in `terms`."""
+    L = group.phase_modulus
     xi = object.__new__(QuadraticEncoding)
-    xi._store(group, diag, pairs)
+    diag = tuple((i, n % L, b % L) for i, n, b in diag if n % L or b % L)
+    xi._store(group, diag, tuple((i, j, b % L) for i, j, b in pairs if b % L))
     return xi
 
 
@@ -238,16 +266,14 @@ def quad_from_endo(endo: EndoMatrix) -> QuadraticEncoding:
 
 def build_quadratic(group: AbelianGroup, kind: str, **params) -> QuadraticEncoding:
     """Dispatch to the named builder family."""
-    builders = {
-        "character": lambda: quad_character(group, params["factor"], params["a"]),
-        "square": lambda: quad_square(group, params["factor"], params["a"]),
-        "half": lambda: quad_half(group, params["factor"], params["a"]),
-        "cross": lambda: quad_cross(group, params["i"], params["j"], params["c"]),
-        "from_endo": lambda: quad_from_endo(params["endo"]),
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown quadratic family {kind!r}")
-    return builders[kind]()
+    single = {"character": quad_character, "square": quad_square, "half": quad_half}
+    if kind in single:
+        return single[kind](group, params["factor"], params["a"])
+    if kind == "cross":
+        return quad_cross(group, params["i"], params["j"], params["c"])
+    if kind == "from_endo":
+        return quad_from_endo(params["endo"])
+    raise ValueError(f"unknown quadratic family {kind!r}")
 
 
 def derive_double_exponents(
@@ -272,9 +298,6 @@ def derive_double_exponents(
             raise InvalidQuadratic(
                 f"diagonal exponent {n1} admits no consistent doubled value"
             )
-        if t == 0:
-            a_min = 0
-        else:
-            a_min = (c // g) * pow(t // g, -1, L // g) % (L // g)
+        a_min = 0 if t == 0 else (c // g) * pow(t // g, -1, L // g) % (L // g)
         out.append((2 * n1 + u * a_min) % L)
     return tuple(out)

@@ -145,6 +145,27 @@ def test_error_positions():
     assert "line 2" in str(e)
 
 
+# str.splitlines() also breaks at these; a circuit or table file breaks
+# only at "\n", so that error lines agree with grep -n
+SEPARATORS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_a_newline_ends_a_line(sep):
+    # a form feed (or another separator) ending the state line
+    e = err_line(f"group: 2\nstate: coset gens=[] shift=(0){sep}\ngate: bogus\n")
+    assert e.line_no == 3
+    # the same character inside a line, and inside a comment
+    e = err_line(f"group: 2\nstate: coset{sep}gens=[] shift=(0) # a{sep}b\ngate: bogus\n")
+    assert e.line_no == 3
+    # a missing declaration is reported on the line after the last one
+    assert err_line(f"group: 2{sep}\n").line_no == 2
+    assert err_line(f"group: 2\n# {sep}").line_no == 3
+    table = f"(0) -> (1){sep}\n(1) -> (0) # {sep}\n(1) -> (1)\n"
+    with pytest.raises(CircuitValidationError) as exc:
+        parse_permutation_table(AbelianGroup((2,)), table)
+    assert exc.value.line_no == 3
+
 def test_rejects_bad_group_lines():
     assert "line 1" in str(err_line("group: 2 1\nstate: coset gens=[] shift=(0,0)\n"))
     assert "line 1" in str(err_line("group: 0\nstate: coset gens=[] shift=(0)\n"))

@@ -239,3 +239,28 @@ def test_invalid_circuit_file(tmp_path, capsys):
     assert main(["simulate", str(f)]) == 65
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["support"], ["affine-test", "--group", "2", "--perm"]],
+    ids=["support", "affine-test-perm"],
+)
+def test_a_file_that_is_not_utf8_exits_65_naming_the_byte(tmp_path, capsys, command):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"# " + b"x" * 10000 + b"\n(0) -> (1)\xff\n")
+    assert main(command + [str(f)]) == 65
+    err = capsys.readouterr().err
+    assert str(f) in err and "byte 10013" in err
+    assert "Traceback" not in err
+
+
+def test_crlf_lines_parse_and_a_lone_cr_ends_no_line(tmp_path, capsys):
+    f = tmp_path / "crlf.nc"
+    f.write_bytes(BELL.replace("\n", "\r\n").encode())
+    assert main(["support", str(f)]) == 0
+    capsys.readouterr()
+    # grep -n sees two lines here, the second one malformed
+    f.write_bytes(b"group: 2\r\nstate: coset gens=[] shift=(0)\rgate: bogus\n")
+    assert main(["support", str(f)]) == 65
+    assert "line 2: malformed state declaration" in capsys.readouterr().err
