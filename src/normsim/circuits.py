@@ -25,7 +25,8 @@ pairwise sums of generators (nee, row-major i<j), and at doubled
 generators (ndd). The ndd list is optional on input; when absent, the
 smallest consistent doubled values are chosen, and serialization always
 writes them out. A quad line's tokens are converted once per distinct
-token, so a dense line costs about its split.
+token, so a dense line costs about its split, and a gate line that
+repeats an earlier one of the file costs a dict lookup.
 """
 
 from __future__ import annotations
@@ -190,6 +191,15 @@ _PAULI_RE = re.compile(
     r"gate:\s*pauli\s+a\s*=\s*(?P<a>-?[0-9]+)\s+"
     r"z\s*=\s*(?P<z>\([^)]*\))\s+x\s*=\s*(?P<x>\([^)]*\))\s*$"
 )
+# a gate line is matched only against the pattern of its keyword
+_GATE_KIND = re.compile(r"gate:\s*([a-z]+)")
+_GATE_RES = {
+    "qft": _QFT_RE,
+    "iqft": _QFT_RE,
+    "auto": _AUTO_RE,
+    "quad": _QUAD_RE,
+    "pauli": _PAULI_RE,
+}
 
 
 def parse_circuit(text: str) -> ParsedCircuit:
@@ -197,6 +207,9 @@ def parse_circuit(text: str) -> ParsedCircuit:
     group: AbelianGroup | None = None
     coset: CosetInput | None = None
     gates: list[Gate] = []
+    # gates are frozen, so a repeated line shares the gate of its first
+    # occurrence, which is where a bad line raises
+    parsed: dict[str, Gate] = {}
     # only "\n" ends a line, as for grep -n; strip() drops a "\r" before it
     lines = text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
@@ -240,7 +253,10 @@ def parse_circuit(text: str) -> ParsedCircuit:
                 raise CircuitParseError(
                     line_no, "gate before group and state declarations"
                 )
-            gates.append(_parse_gate(group, line, line_no))
+            gate = parsed.get(line)
+            if gate is None:
+                gate = parsed[line] = _parse_gate(group, line, line_no)
+            gates.append(gate)
         else:
             raise CircuitParseError(line_no, f"unknown directive {line.split(':')[0]!r}")
     end = len(lines) + (lines[-1] != "")  # the line after the last one
@@ -252,8 +268,12 @@ def parse_circuit(text: str) -> ParsedCircuit:
 
 
 def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
-    m = _QFT_RE.fullmatch(line)
-    if m:
+    kind = _GATE_KIND.match(line)
+    pattern = _GATE_RES.get(kind and kind.group(1))
+    m = pattern.fullmatch(line) if pattern else None
+    if m is None:
+        raise CircuitParseError(line_no, "malformed gate directive")
+    if pattern is _QFT_RE:
         targets = _ints(_tokens(m.group("t")), line_no, "bad integer in targets list")
         for t in targets:
             if not 1 <= t <= group.num_factors:
@@ -265,8 +285,7 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
             return FourierGate(group, tuple(t - 1 for t in targets), inverse)
         except ValueError as err:
             raise CircuitValidationError(line_no, str(err)) from None
-    m = _AUTO_RE.fullmatch(line)
-    if m:
+    if pattern is _AUTO_RE:
         cols = [
             checked_element(group, res, line_no, "matrix column")
             for res in _split_element_list(m.group("cols"), line_no, "cols")
@@ -286,8 +305,7 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
             return AutomorphismGate(matrix)
         except NotInvertible:
             raise CircuitValidationError(line_no, "matrix is not invertible") from None
-    m = _QUAD_RE.fullmatch(line)
-    if m:
+    if pattern is _QUAD_RE:
         ne, nee, ndd = map(_tokens, m.group("ne", "nee", "ndd"))
         distinct = set(ne).union(nee, ndd)
         # the line pattern takes any list body; its tokens are checked here
@@ -320,13 +338,10 @@ def _parse_gate(group: AbelianGroup, line: str, line_no: int) -> Gate:
                 line_no, f"inconsistent quadratic exponents: {err}"
             ) from None
         return QuadraticGate(encoding)
-    m = _PAULI_RE.fullmatch(line)
-    if m:
-        z = _checked_literal(group, m.group("z"), line_no, "z part")
-        x = _checked_literal(group, m.group("x"), line_no, "x part")
-        (a,) = _ints([m.group("a")], line_no, "bad integer in pauli a")
-        return PauliGate(PauliLabel(PhaseExponent(group, a), z, x))
-    raise CircuitParseError(line_no, "malformed gate directive")
+    z = _checked_literal(group, m.group("z"), line_no, "z part")
+    x = _checked_literal(group, m.group("x"), line_no, "x part")
+    (a,) = _ints([m.group("a")], line_no, "bad integer in pauli a")
+    return PauliGate(PauliLabel(PhaseExponent(group, a), z, x))
 
 
 def serialize_circuit(circuit: ParsedCircuit) -> str:

@@ -6,18 +6,22 @@ rewrites, in closed form, only the columns of the factors it acts on.
 Pauli gates only move phases, so they are folded into one frame row
 that the other gates carry along, and its phases are applied once at
 the end.
-At the end the measurement statistics are read off the final labels:
-the support is a coset offset + <x parts>, and the offset is pinned
-down by the purely diagonal stabilizer elements. Sampling the uniform
-distribution over the coset then needs no state vector at any point.
+At the end the measurement statistics are read off the final labels
+by one Howell elimination over them, every row operation a label
+product: the support is a coset offset + <x parts>, whose Howell basis
+the echelon rows give, and the offset is pinned down by the purely
+diagonal stabilizer elements the other rows generate. The result is
+already in the canonical form that sampling the uniform distribution
+over the coset reads, and no state vector is needed at any point.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mod, mul
+from operator import floordiv, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import (
@@ -38,10 +42,10 @@ from .homs import (
     orthogonal_subgroup,
     solve_character_system,
 )
-from .intlinalg import kernel_basis
-# pauli_dagger, pauli_identity, pauli_mul, pauli_pow, extract_endo and
-# quad_eval have no caller here; perfbench's tracer wraps them in this
-# namespace, so they stay bound
+# kernel_basis, pauli_dagger, pauli_identity, pauli_mul, pauli_pow,
+# extract_endo and quad_eval have no caller here; perfbench's tracer
+# wraps them in this namespace, so they stay bound
+from .intlinalg import howell_eliminate, kernel_basis
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
@@ -295,14 +299,11 @@ def init_stabilizer(coset: CosetInput) -> StabilizerSet:
     the orthogonal complement; the shift enters by conjugating the
     unshifted stabilizer with X(x).
     """
-    group = coset.group
-    labels = [
-        PauliLabel(PhaseExponent(group, 0), group.zero(), u)
-        for u in coset.generators
-    ]
+    group, zero, shift = coset.group, coset.group.zero(), -coset.shift
+    labels = [PauliLabel(PhaseExponent(group, 0), zero, u) for u in coset.generators]
     for v in orthogonal_subgroup(coset.subgroup).generators:
-        a = character_exponent(v, -coset.shift)
-        labels.append(PauliLabel(PhaseExponent(group, a), v, group.zero()))
+        a = character_exponent(v, shift)
+        labels.append(PauliLabel(PhaseExponent(group, a), v, zero))
     return tuple(labels)
 
 
@@ -320,9 +321,12 @@ def conjugate_circuit(labels: StabilizerSet, gates: Iterable[Gate]) -> Stabilize
 class OutputDistribution:
     """Uniform distribution over support + offset under full measurement.
 
-    `offset` and `support` are kept as readout found them; sampling,
-    `members` and `normsim support` go through `canonical`, so they
-    depend on the coset alone.
+    `output_distribution` returns the canonical form: the support's
+    generators are its Howell basis and the offset is reduced against
+    them, and `canonical` holds that pair from the start. A distribution
+    built from any other generators and offset derives `canonical` on
+    first use. Sampling, `members` and `normsim support` go through
+    `canonical`, so they depend on the coset alone.
     """
 
     group: AbelianGroup
@@ -335,6 +339,15 @@ class OutputDistribution:
                 f"distribution over {self.group} with parts over "
                 f"{self.offset.group} and {self.support.group}"
             )
+
+    @classmethod
+    def from_canonical(cls, x0: GroupElement, basis: HowellBasis) -> OutputDistribution:
+        """The distribution over x0 + <basis>, x0 already reduced against it."""
+        support = Subgroup(basis.group, basis.rows)
+        vars(support)["howell"] = basis
+        dist = cls(basis.group, x0, support)
+        vars(dist)["canonical"] = x0, basis
+        return dist
 
     @cached_property
     def canonical(self) -> tuple[GroupElement, HowellBasis]:
@@ -412,43 +425,35 @@ class OutputDistribution:
 def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     """Read measurement statistics off a conjugated stabilizer set.
 
-    The support subgroup is generated by the X parts. The offset comes
-    from the purely diagonal stabilizer elements: products
-    prod_i s_i^{k_i} whose X part cancels are gamma^c Z(z), and fixing
-    the state forces chi_z(x) = gamma^{-c} on every support point x.
-    Each product is built on plain ints, label by label in index order
-    (the rowsum of quant-ph/0406196): s^k adds k*a - k(k-1)/2 chi(z, x)
-    and putting it right of Z(Z) X(X) costs chi(k z, X).
+    One Howell elimination runs over the labels as rows (x | z | a), x
+    embedded in Z_N^m as Subgroup.howell does, and every row operation
+    is a label product (see howell_eliminate). The echelon rows' X parts
+    are then the Howell basis of the support, generated by the X parts.
+    The pool rows are the purely diagonal stabilizer elements gamma^c
+    Z(z), and they generate all of them; fixing the state forces
+    chi_z(x) = gamma^{-c} on every support point x, which pins down the
+    offset. The distribution comes back in its canonical form.
     """
     if not labels:
         raise EngineError("empty stabilizer set")
     group = _common_group(labels)
-    d, L = group.moduli, group.phase_modulus
-    h_parts = [s.x_part for s in labels]
-    support = Subgroup(group, tuple(h for h in h_parts if not h.is_zero))
-    # per label: a, chi(z, x), z, x and u with chi_z(y) = gamma^(u . y)
-    terms = []
-    for s in labels:
-        z, x = s.z_part.residues, s.x_part.residues
-        u = [L // dj * v for dj, v in zip(d, z)]
-        terms.append((s.phase.value, sum(map(mul, u, x)), z, x, u))
-    # exponent tuples k with sum_i k_i h^i = 0 in G
-    rows = [[h.residues[j] for h in h_parts] for j in range(group.num_factors)]
+    d, L, m = group.moduli, group.phase_modulus, group.num_factors
+    N = math.lcm(*d)
+    scale = [N // dj for dj in d]
+    rows = [
+        ([*map(mul, scale, s.x_part.residues), *s.z_part.residues], s.phase.value)
+        for s in labels
+    ]
+    echelon, pool = howell_eliminate(rows, N, m, L)
+    element = GroupElement._reduced
     diag_gens: list[GroupElement] = []
     diag_phases: list[int] = []
-    for vec in kernel_basis(rows, num_cols=len(labels), moduli=group.moduli):
-        c, Z, X = 0, [0] * len(d), [0] * len(d)
-        for k, (a, comm, z, x, u) in zip(vec, terms):
-            if k:
-                c += k * a - k * (k - 1) // 2 * comm - k * sum(map(mul, u, X))
-                Z = [zj + k * v for zj, v in zip(Z, z)]
-                X = [xj + k * v for xj, v in zip(X, x)]
-        if any(xj % dj for xj, dj in zip(X, d)):
+    for v, c in pool:
+        if any(v[:m]):
             raise EngineError("diagonal combination kept an X part")
-        c %= L
         if c % 2:
             raise EngineError("diagonal stabilizer phase is an odd power")
-        z_part = group.element(Z)
+        z_part = element(group, tuple(map(mod, v[m:], d)))
         if z_part.is_zero and c:
             # gamma^c * identity fixing the state forces c = 0
             raise EngineError("stabilizer contains a nontrivial scalar")
@@ -457,7 +462,13 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     offset = solve_character_system(group, diag_gens, diag_phases)
     if offset is None:
         raise EngineError("diagonal constraints are unsatisfiable")
-    return OutputDistribution(group, offset, support)
+    # the X part of an echelon row is a multiple of N/d_j in column j
+    basis = HowellBasis(
+        group,
+        tuple(element(group, tuple(map(floordiv, v, scale))) for _, (v, _) in echelon),
+        tuple(c for c, _ in echelon),
+    )
+    return OutputDistribution.from_canonical(basis.reduce(offset), basis)
 
 
 def simulate(coset: CosetInput, gates: Sequence[Gate]) -> OutputDistribution:

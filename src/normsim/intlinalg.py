@@ -7,7 +7,10 @@ that keeps every entry in [0, N). `solve_diophantine` takes a system
 exactly over the integers, where the solution set is particular +
 Z-span(kernel), or with row i mod d_i, which it scales into one system
 mod N = lcm(d) whose solution set is particular + Z-span(kernel) +
-N*Z^m. `howell_form` reduces a matrix over Z_N to its Howell form.
+N*Z^m. `howell_form` reduces a matrix over Z_N to its Howell form, and
+`howell_eliminate` runs the same elimination over Pauli labels, every
+row operation a label product. Over Z_2 the elimination holds each row
+as one int.
 """
 
 from __future__ import annotations
@@ -60,58 +63,154 @@ def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("rows must all have the same length")
-    echelon, _ = _howell(rows, N, n)
-    return [tuple(row) for _, row in echelon]
+    echelon, _ = howell_eliminate([(row, 0) for row in rows], N, n)
+    return [tuple(row) for _, (row, _) in echelon]
 
 
-def _howell(rows: IntMatrix, N: int, stop: int):
+Row = tuple[list[int], int]
+
+
+def howell_eliminate(rows: Sequence[Row], N: int, stop: int, L: int = 0):
     """Howell elimination over the first `stop` columns: (echelon, pool).
 
-    Per column, the rows with a nonzero entry merge into one pivot row by
-    unimodular 2x2 gcd steps; a gcd step against the zero row N*e_c makes
-    the pivot g = gcd(a, N) and leaves the annihilator (N/g) * pivot row
-    in the pool (Storjohann & Mulders, "Fast algorithms for linear
-    algebra modulo N", 1998). So the pool's rows, all zero in the first
-    `stop` columns, span every span vector that is; echelon lists
-    (pivot column, row) for the pivots there.
+    A row is a pair (v, a). With L = 0 it is the vector v over Z_N and a
+    is 0. With L a multiple of N it is the Pauli label gamma^a Z(z) X(x),
+    gamma^L = 1, with v = (x | z), `stop` entries each, chi_z(x) =
+    gamma^(w z.x) for w = L/N, and a in [0, L). Per column, the rows with a nonzero entry
+    merge into one pivot row by unimodular 2x2 gcd steps; a gcd step
+    against the zero row N*e_c makes the pivot g = gcd(a, N) and leaves
+    the annihilator (N/g) * pivot row in the pool (Storjohann & Mulders,
+    "Fast algorithms for linear algebra modulo N", 1998). So the pool's
+    rows, all zero in the first `stop` columns, span every span vector
+    that is; echelon lists (pivot column, row) for the pivots there.
+
+    On labels every step is a product of integer powers of rows, in
+    closed form with the exact gcd exponents, so no phase relies on a
+    row's N-th power being the identity: the pool then generates every
+    element of the rows' group whose X part is zero. Over Z_2 each row is
+    held as one int and XOR is the row operation; the steps, and so the
+    results, are those of the list elimination.
     """
     if N < 1:
         raise ValueError("modulus must be a positive integer")
-    pool = [[v % N for v in row] for row in rows]
-    pool = [row for row in pool if any(row)]
-    echelon: list[tuple[int, list[int]]] = []
+    return (_howell_bits if N == 2 else _howell_lists)(rows, N, stop, L)
+
+
+def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
+    w = L // N
+
+    def combine(u: Row, s: int, v: Row, t: int) -> Row:
+        """u^s v^t: the entries s u + t v, and for labels the phase of the
+        product, pauli_pow's closed form per factor and then the rowsum
+        (quant-ph/0406196): X(s x) passing Z(t z') costs chi_{z'}(x)^(st)."""
+        (x, a), (y, b) = u, v
+        row = [(s * p + t * q) % N for p, q in zip(x, y)]
+        if not w:
+            return row, 0
+        xz, yz = x[stop:], y[stop:]
+        pair = (
+            s * (s - 1) // 2 * sum(map(mul, xz, x))
+            + t * (t - 1) // 2 * sum(map(mul, yz, y))
+            + s * t * sum(map(mul, yz, x))
+        )
+        return row, (s * a + t * b - w * pair) % L
+
+    pool = [([v % N for v in x], a) for x, a in rows]
+    pool = [row for row in pool if any(row[0]) or row[1]]
+    echelon: list[tuple[int, Row]] = []
     for c in range(stop):
         piv = None
         rest = []
         for row in pool:
-            b = row[c]
+            b = row[0][c]
             if b == 0:
                 rest.append(row)
             elif piv is None:
                 piv = row
             else:
-                a = piv[c]
+                a = piv[0][c]
                 g, s, t = _exgcd(a, b)
                 p, q = a // g, b // g
-                piv, row = (
-                    [(s * x + t * y) % N for x, y in zip(piv, row)],
-                    [(p * y - q * x) % N for x, y in zip(piv, row)],
-                )
-                if any(row):
+                piv, row = combine(piv, s, row, t), combine(row, p, piv, -q)
+                if any(row[0]) or row[1]:
                     rest.append(row)
         if piv is not None:
-            g, s, _ = _exgcd(piv[c], N)
-            annihilator = [(N // g) * x % N for x in piv]
-            if any(annihilator):
+            g, s, _ = _exgcd(piv[0][c], N)
+            annihilator = combine(piv, N // g, piv, 0)
+            if any(annihilator[0]) or annihilator[1]:
                 rest.append(annihilator)
-            piv = [s * x % N for x in piv]
-            for _, row in echelon:
-                q = row[c] // g
+            piv = combine(piv, s, piv, 0)
+            for i, (e, row) in enumerate(echelon):
+                q = row[0][c] // g
                 if q:
-                    row[:] = [(x - q * y) % N for x, y in zip(row, piv)]
+                    echelon[i] = e, combine(row, 1, piv, -q)
             echelon.append((c, piv))
         pool = rest
     return echelon, pool
+
+
+# the binary digit of each byte's parity, and back
+_PARITY = bytes(b"01"[i & 1] for i in range(256))
+_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
+    """_howell_lists over Z_2, each row's entries one int, entry 0 in the
+    top bit: a label's X part is then its high half and Z its low half.
+
+    For N = 2 every gcd step has s = 0 and t = p = q = 1: the new row
+    becomes the pivot and leaves row * pivot^-1, which is XOR, and the
+    annihilator is pivot^2. A label's phases need z.x mod 2 only, as
+    w = L/2: the popcount of (z & x), as in Stim (arXiv:2103.02202).
+    """
+    w = L // 2
+    n = len(rows[0][0]) if rows else stop
+
+    def pack(x: list[int]) -> int:
+        try:
+            digits = bytes(x)
+        except ValueError:  # an entry outside [0, 256)
+            digits = bytes([v & 1 for v in x])
+        return int(digits.translate(_PARITY) or b"0", 2)
+
+    def over(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+        """u * v^-1; the entries of v^-1 are v's, its phase -b - chi_z(x)."""
+        x = u[0] ^ v[0]
+        if not w:
+            return x, 0
+        return x, (u[1] - v[1] + w * (v[0] & x >> stop).bit_count()) % L
+
+    pool = [(pack(x), a) for x, a in rows]
+    pool = [row for row in pool if row[0] or row[1]]
+    echelon: list[tuple[int, tuple[int, int]]] = []
+    for c in range(stop):
+        bit = 1 << (n - 1 - c)
+        piv = None
+        rest = []
+        for row in pool:
+            if not row[0] & bit:
+                rest.append(row)
+            elif piv is None:
+                piv = row
+            else:
+                piv, row = row, over(row, piv)
+                if row[0] or row[1]:
+                    rest.append(row)
+        if piv is not None:
+            if w:
+                a = (2 * piv[1] - w * (piv[0] & piv[0] >> stop).bit_count()) % L
+                if a:
+                    rest.append((0, a))
+            for i, (e, row) in enumerate(echelon):
+                if row[0] & bit:
+                    echelon[i] = e, over(row, piv)
+            echelon.append((c, piv))
+        pool = rest
+
+    def unpack(row: tuple[int, int]) -> Row:
+        return list(format(row[0], f"0{n}b")[:n].encode().translate(_DIGIT)), row[1]
+
+    return [(c, unpack(row)) for c, row in echelon], list(map(unpack, pool))
 
 
 def solve_mod(
@@ -136,17 +235,18 @@ def solve_mod(
         raise ValueError("num_cols required for a matrix with no rows")
     if any(len(row) != m for row in A) or any(len(b) != n for b in targets):
         raise ValueError("rows and targets must match the matrix shape")
-    rows = [[row[i] for row in A] + [int(i == j) for j in range(m)] for i in range(m)]
-    echelon, pool = _howell(rows, N, n)
+    columns = zip(*A) if n else [()] * m
+    rows = [([*c, *[0] * i, 1, *[0] * (m - 1 - i)], 0) for i, c in enumerate(columns)]
+    echelon, pool = howell_eliminate(rows, N, n)
     solutions = []
     for b in targets:
         v = [x % N for x in b] + [0] * m
-        for c, row in echelon:
+        for c, (row, _) in echelon:
             q = v[c] // row[c]
             if q:
                 v = [(x - q * y) % N for x, y in zip(v, row)]
         solutions.append(None if any(v[:n]) else tuple(-x % N for x in v[n:]))
-    return solutions, [tuple(row[n:]) for row in pool]
+    return solutions, [tuple(row[n:]) for row, _ in pool]
 
 
 def _column_echelon(A: IntMatrix, m: int):

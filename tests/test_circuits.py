@@ -145,6 +145,20 @@ def test_error_positions():
     assert "line 2" in str(e)
 
 
+def test_repeated_gate_lines_share_one_gate_and_fail_at_the_first():
+    head = "group: 2 2\nstate: coset gens=[] shift=(0,0)\n"
+    lines = ["gate: qft targets=[1]", "gate: pauli a=2 z=(1,0) x=(0,1)"]
+    circuit = parse_circuit(head + "\n".join(lines * 2 + [" " + lines[0] + " # again"]))
+    gates = circuit.gates
+    assert gates[0] is gates[2] is gates[4] and gates[1] is gates[3]
+    assert gates[0] is not gates[1]
+    bad = "gate: qft targets=[3]"
+    e = err_line(head + "\n".join([lines[0], bad, lines[1], bad]) + "\n")
+    assert (type(e), e.line_no, e.reason) == (
+        CircuitValidationError, 4, "target 3 out of range 1..2"
+    )
+
+
 # str.splitlines() also breaks at these; a circuit or table file breaks
 # only at "\n", so that error lines agree with grep -n
 SEPARATORS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]

@@ -9,9 +9,13 @@ lattice spanned by the kernel plus the N*e_j.
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import normsim.intlinalg as intlinalg
 from normsim.intlinalg import howell_form, kernel_basis, solve_diophantine, solve_mod
 
 
@@ -304,3 +308,53 @@ def test_solve_mod_checks_its_shapes():
         solve_mod([[1]], [[0]], 0)
     with pytest.raises(ValueError):
         solve_mod([[1, 2]], [[0, 1]], 5)
+
+
+@st.composite
+def z2_systems(draw):
+    """A matrix with 0 to 12 rows of 0 to 40 entries, the empty matrix and
+    all-zero rows included; entries are 0/1, or, in one draw of four, any
+    int in [-3, 300], which Z_2 reduces to its parity."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 40))
+    entry = st.integers(-3, 300) if draw(st.integers(0, 3)) == 0 else st.integers(0, 1)
+    row = st.one_of(st.just([0] * m), st.lists(entry, min_size=m, max_size=m))
+    A = draw(st.lists(row, min_size=n, max_size=n))
+    targets = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    return A, targets, m
+
+
+def list_elimination():
+    """Route howell_eliminate to the list path, whatever N."""
+    return mock.patch.object(
+        intlinalg, "howell_eliminate",
+        lambda rows, N, stop, L=0: intlinalg._howell_lists(rows, N, stop, L),
+    )
+
+
+@settings(max_examples=200)
+@given(z2_systems())
+def test_packed_z2_elimination_is_the_list_elimination(case):
+    """solve_mod and howell_form over Z_2 return exactly what the list
+    elimination returns: the same solutions, kernel and Howell rows."""
+    A, targets, m = case
+    packed = solve_mod(A, targets, 2, m), howell_form(A, 2)
+    with list_elimination():
+        assert (solve_mod(A, targets, 2, m), howell_form(A, 2)) == packed
+    # the elimination itself, over a leading block of the columns
+    rows = [(row, 0) for row in A]
+    stop = len(A[0]) // 2 if A else 0
+    expected = intlinalg._howell_lists(rows, 2, stop, 0)
+    assert intlinalg._howell_bits(rows, 2, stop, 0) == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_packed_z2_label_elimination_is_the_list_elimination(data):
+    """On label rows (x | z, a) the two paths take the same label
+    products, so they agree on every row and phase, scalar rows included."""
+    k = data.draw(st.integers(0, 20))
+    L = 2 ** data.draw(st.integers(1, 30))
+    bits = st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k)
+    rows = data.draw(st.lists(st.tuples(bits, st.integers(0, L - 1)), max_size=24))
+    expected = intlinalg._howell_lists(rows, 2, k, L)
+    assert intlinalg._howell_bits(rows, 2, k, L) == expected

@@ -4,15 +4,17 @@
 `pauli_mul`/`pauli_pow` products and its own slack-column congruence
 solver, as the engine did before, and `reference_sample` decodes the
 shot's one draw over the canonical rows with `GroupElement` arithmetic.
-The engine must give the same coset (the offsets may be different
-representatives of it), the same support generators, the same shots and
-leave the generator in the same state, on random circuits of every gate
-kind and on distributions built by hand.
+The engine must give the same coset, read out already in its
+canonical form (the support's generators are the reference's Howell
+rows), the same shots and leave the generator in the same state, on
+random circuits of every gate kind and on distributions built by hand.
 """
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import normsim.engine as engine
 import normsim.pauli as pauli
@@ -32,7 +34,7 @@ from normsim.homs import Subgroup, subgroup_contains
 from normsim.intlinalg import kernel_basis
 from normsim.pauli import pauli_label
 from normsim.quadratic import build_quadratic
-from test_tableau import random_circuit, random_group
+from test_tableau import MODULI, random_circuit, random_group
 
 SHOTS = 200
 
@@ -67,8 +69,34 @@ def test_readout_and_stream_match_reference(seed):
     dist = output_distribution(labels)
     ref = reference_output_distribution(labels)
     assert_same_coset(dist, ref)
-    assert dist.support.generators == ref.support.generators
+    assert dist.support.generators == ref.canonical[1].rows
     assert_same_stream(dist, ref, seed)
+
+
+@st.composite
+def readout_cases(draw):
+    """Final labels of a random circuit, 0 to 30 gates of every kind, over
+    Z_2^m with m <= 64 (the packed elimination) or up to 12 factors from
+    2 to 2^40 and 10^9+7 (the list elimination)."""
+    if draw(st.booleans()):
+        moduli = (2,) * draw(st.sampled_from((1, 2, 3, 5, 8, 16, 32, 48, 64)))
+    else:
+        moduli = draw(st.lists(st.sampled_from(MODULI), min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    group = AbelianGroup(tuple(moduli))
+    gates = random_circuit(rng, group, draw(st.integers(0, 30)))
+    return conjugate_circuit(init_stabilizer(random_coset(rng, group)), gates)
+
+
+@given(readout_cases())
+def test_readout_canonical_pair_is_the_reference(labels):
+    """The readout's canonical pair is that of the reference readout, in
+    any label order, and the distribution it returns is that pair."""
+    dist = output_distribution(labels)
+    assert dist.canonical == reference_output_distribution(labels).canonical
+    assert output_distribution(labels[::-1]).canonical == dist.canonical
+    offset, basis = dist.canonical
+    assert (dist.offset, dist.support.generators) == (offset, basis.rows)
 
 
 def _dist(moduli, offset, gens):
@@ -129,7 +157,9 @@ def test_parts_over_another_group_are_refused():
 
 
 def test_readout_builds_no_labels_on_z2_64(monkeypatch):
-    """One GroupElement per kernel vector plus the offset, no label products."""
+    """No label products, and of the checked GroupElements only the
+    solved offset and its reduction, fewer than the r + 1 of a readout
+    with one per kernel vector plus the offset."""
     rng = random.Random(64)
     m = 64
     group = AbelianGroup((2,) * m)
@@ -161,9 +191,10 @@ def test_readout_builds_no_labels_on_z2_64(monkeypatch):
 
     monkeypatch.setattr(AbelianGroup, "element", counted_element)
     dist = output_distribution(labels)
+    built = calls["elements"]
     assert calls["pauli_mul"] == calls["pauli_pow"] == 0
-    assert 0 < calls["elements"] <= r + 1
-    assert dist.support == ref.support
+    assert 0 < built <= 2 < r + 1
+    assert dist.support.generators == ref.canonical[1].rows
     assert_same_coset(dist, ref)
 
 
