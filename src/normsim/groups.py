@@ -254,8 +254,3 @@ def character_exponent(g: GroupElement, h: GroupElement) -> int:
     for d, gi, hi in zip(group.moduli, g.residues, h.residues):
         a += (two_g // d) * gi * hi
     return a % two_g
-
-
-def character_eval(g: GroupElement, h: GroupElement) -> PhaseExponent:
-    """The character chi_g evaluated at h, as an exact phase."""
-    return PhaseExponent(g.group, character_exponent(g, h))

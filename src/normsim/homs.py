@@ -1,12 +1,13 @@
 """Endomorphisms of Z_d1 x ... x Z_dm as integer matrices, plus subgroup
-machinery built on the Diophantine solver and the Howell form.
+machinery built on `solve_mod` and the Howell form.
 
 A homomorphism is fixed by the images of the factor generators e^i; the
 images form the columns of a matrix whose row k lives in Z_{d_k}. The
 column list is a valid homomorphism exactly when d_i * column_i = 0 in
-the group, and everything else here (duals, inverses, orthogonal
-subgroups, character-constraint solving) reduces to exact integer
-linear algebra over that representation.
+the group. Inverses, orthogonal subgroups and character constraints
+each become one congruence system mod N = lcm(d) for
+`intlinalg.solve_mod`; the inverse and the character system's offset
+are checked exactly before they are returned.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_size
-from .intlinalg import howell_form, kernel_basis, solve_diophantine, solve_mod
+from .intlinalg import howell_form, solve_mod
+# no caller here: perfbench's tracer wraps these two in this namespace,
+# so they stay bound until it reads in-package stats (ROADMAP item 1)
+from .intlinalg import kernel_basis, solve_diophantine
 
 
 class InvalidEndomorphism(ValueError):
@@ -193,8 +198,8 @@ def orthogonal_subgroup(H: Subgroup) -> Subgroup:
     if not gens:
         return Subgroup(group, tuple(group.units()))
     N, rows = _character_rows(group, gens)
-    basis = kernel_basis(rows, moduli=[N] * len(gens))
-    perp = (group.element(vec) for vec in basis)
+    _, kernel = solve_mod(rows, [], N, group.num_factors)
+    perp = (group.element(vec) for vec in kernel)
     return Subgroup(group, tuple(g for g in perp if not g.is_zero))
 
 
@@ -208,8 +213,9 @@ def solve_character_system(
     `phases` holds the s_k as integers mod order. A character value is
     an N-th root of unity, N = lcm(d), so there is no solution unless
     order/N divides every s_k; the quotients are the right-hand side of
-    the _character_rows system mod N. Returns None when the constraints
-    are unsatisfiable. With no constraints, returns 0.
+    the _character_rows system mod N, and solve_mod's offset is checked
+    exactly against every row. Returns None when the constraints are
+    unsatisfiable. With no constraints, returns 0.
     """
     if len(gens) != len(phases):
         raise ValueError("constraint count mismatch")
@@ -222,10 +228,13 @@ def solve_character_system(
     if any(int(s) % q for s in phases):
         return None
     rhs = [int(s) // q for s in phases]
-    sol = solve_diophantine(rows, rhs, group.num_factors, [N] * len(gens))
-    if sol is None:
+    (x,), _ = solve_mod(rows, [rhs], N, group.num_factors)
+    if x is None:
         return None
-    return group.element(sol.particular)
+    for k, (row, r) in enumerate(zip(rows, rhs)):
+        if (sum(map(mul, row, x)) - r) % N:
+            raise ArithmeticError(f"offset fails character constraint {k}")
+    return group.element(x)
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,14 @@ congruence system goes through one primitive, `solve_mod`: A x = b mod
 N for any number of right-hand sides, by a Howell elimination over Z_N
 that keeps every entry in [0, N). `solve_diophantine` takes a system
 exactly over the integers, where the solution set is particular +
-Z-span(kernel), or with row i mod d_i, which it scales into one system
-mod N = lcm(d) whose solution set is particular + Z-span(kernel) +
-N*Z^m. `howell_form` reduces a matrix over Z_N to its Howell form, and
-`howell_eliminate` runs the same elimination over Pauli labels, every
-row operation a label product. Over Z_2 the elimination holds each row
-as one int.
+Z-span(kernel). `howell_form` reduces a matrix over Z_N to its Howell
+form, and `howell_eliminate` runs the same elimination over Pauli
+labels, every row operation a label product. Over Z_2 the elimination
+holds each row as one int.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
@@ -25,8 +22,7 @@ IntMatrix = Sequence[Sequence[int]]
 
 @dataclass(frozen=True)
 class DiophantineSolution:
-    """All integer solutions of A x = b: particular + Z-span of kernel,
-    plus N*Z^m for a congruence system mod N = lcm(moduli)."""
+    """All integer solutions of A x = b: particular + Z-span of kernel."""
 
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
@@ -302,34 +298,24 @@ def _column_echelon(A: IntMatrix, m: int):
     return H, U, pivots
 
 
-def kernel_basis(
-    A: IntMatrix, num_cols: int | None = None, moduli: Sequence[int] | None = None
-) -> list[tuple[int, ...]]:
-    """Generators of {x : A x = 0}: a lattice basis over the integers, or,
-    when `moduli` are given, the mod-N kernel of solve_diophantine.
+def kernel_basis(A: IntMatrix, num_cols: int | None = None) -> list[tuple[int, ...]]:
+    """A lattice basis of the integer kernel {x : A x = 0}.
 
     Args:
         A: coefficient rows; may be empty.
         num_cols: required when A has no rows.
     """
-    return list(solve_diophantine(A, [0] * len(A), num_cols, moduli).kernel)
+    return list(solve_diophantine(A, [0] * len(A), num_cols).kernel)
 
 
 def solve_diophantine(
-    A: IntMatrix,
-    b: Sequence[int],
-    num_cols: int | None = None,
-    moduli: Sequence[int] | None = None,
+    A: IntMatrix, b: Sequence[int], num_cols: int | None = None
 ) -> DiophantineSolution | None:
-    """Solve A x = b over the integers, or A x = b mod moduli[i] in row i.
+    """Solve A x = b exactly over the integers: particular + Z-span(kernel).
 
-    Over the integers the solutions are particular + Z-span(kernel). With
-    `moduli`, row i is scaled by N/d_i, N = lcm(moduli), into one system
-    mod N for solve_mod: the solutions are particular + Z-span(kernel) +
-    N*Z^m, with every returned entry in [0, N). Returns None when no
-    solution exists (a distinguished outcome, not an error). The
-    particular solution and every kernel generator are re-verified
-    against the original rows before returning.
+    Returns None when no solution exists (a distinguished outcome, not
+    an error). The particular solution and every kernel generator are
+    re-verified against the original rows before returning.
     """
     n = len(A)
     if len(b) != n:
@@ -339,28 +325,17 @@ def solve_diophantine(
         raise ValueError("num_cols required for a matrix with no rows")
 
     def satisfies(x, rhs) -> bool:
-        residuals = (sum(map(mul, row, x)) - r for row, r in zip(A, rhs))
-        return not any(r % d if d else r for r, d in zip(residuals, moduli or [0] * n))
+        return all(sum(map(mul, row, x)) == r for row, r in zip(A, rhs))
 
-    if moduli is not None:
-        if len(moduli) != n or any(d < 1 for d in moduli):
-            raise ValueError("moduli must be one positive integer per row")
-        N = math.lcm(*moduli)
-        scale = [N // d for d in moduli]
-        rows = [[s * v for v in row] for s, row in zip(scale, A)]
-        (x,), kernel = solve_mod(rows, [list(map(mul, scale, b))], N, m)
-        if x is None:
+    H, U, pivots = _column_echelon(A, m)
+    y = [0] * m
+    for row, col in pivots:
+        rem = b[row] - sum(H[row][j] * y[j] for j in range(col))
+        if rem % H[row][col] != 0:
             return None
-    else:
-        H, U, pivots = _column_echelon(A, m)
-        y = [0] * m
-        for row, col in pivots:
-            rem = b[row] - sum(H[row][j] * y[j] for j in range(col))
-            if rem % H[row][col] != 0:
-                return None
-            y[col] = rem // H[row][col]
-        x = tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
-        kernel = [tuple(U[i][j] for i in range(m)) for j in range(len(pivots), m)]
+        y[col] = rem // H[row][col]
+    x = tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
+    kernel = [tuple(U[i][j] for i in range(m)) for j in range(len(pivots), m)]
     # rows without a pivot may still be violated; verify the lot exactly
     if not satisfies(x, b):
         return None

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import normsim.homs as homs
 from helpers import element_at, span_closure
 from normsim.groups import AbelianGroup, character_exponent
 from normsim.homs import (
@@ -292,3 +293,11 @@ def test_character_system_random_consistent():
         assert x is not None
         for h, p in zip(gens, phases):
             assert character_exponent(x, h) == 2 * p % g.phase_modulus
+
+
+def test_character_system_checks_the_solved_offset(monkeypatch):
+    """An offset that misses a constraint raises, whatever solve_mod says."""
+    z4 = AbelianGroup((4,))
+    monkeypatch.setattr(homs, "solve_mod", lambda *args: ([(0,)], []))
+    with pytest.raises(ArithmeticError, match="constraint 0"):
+        solve_character_system(z4, [z4.element((1,))], [2])

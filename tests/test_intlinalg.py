@@ -1,14 +1,16 @@
 """Integer kernel bases, linear Diophantine systems and congruences mod N.
 
-A congruence system with row moduli d_i is solved mod N = lcm(d): its
-solution set is particular + Z-span(kernel) + N*Z^m, with every returned
-entry in [0, N), so the brute-force checks test membership in the
-lattice spanned by the kernel plus the N*e_j.
+A congruence system with row moduli d_i is solved by solve_mod as one
+system mod N = lcm(d), row i scaled by N/d_i: its solution set is
+particular + Z-span(kernel) + N*Z^m, with every returned entry in
+[0, N), so the brute-force checks test membership in the lattice
+spanned by the kernel plus the N*e_j.
 """
 
 import itertools
 import math
 import random
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -16,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import normsim.intlinalg as intlinalg
-from normsim.intlinalg import howell_form, kernel_basis, solve_diophantine, solve_mod
+from normsim.intlinalg import (
+    DiophantineSolution,
+    howell_form,
+    kernel_basis,
+    solve_diophantine,
+    solve_mod,
+)
 
 
 def mat_vec(rows, x):
@@ -30,6 +38,19 @@ def satisfies(rows, x, b, moduli=None):
         (v - bi) % d == 0 if d else v == bi
         for v, bi, d in zip(mat_vec(rows, x), b, moduli)
     )
+
+
+def solve(rows, b, moduli=None, num_cols=None):
+    """A x = b exactly by solve_diophantine, or with row i mod moduli[i]
+    by solve_mod, row i scaled by N/d_i into one system mod
+    N = lcm(moduli). None when unsolvable."""
+    if moduli is None:
+        return solve_diophantine(rows, b, num_cols)
+    N = math.lcm(*moduli)
+    scale = [N // d for d in moduli]
+    scaled = [[s * v for v in row] for s, row in zip(scale, rows)]
+    (x,), kernel = solve_mod(scaled, [list(map(mul, scale, b))], N, num_cols)
+    return None if x is None else DiophantineSolution(x, tuple(kernel))
 
 
 def random_moduli(rng, n):
@@ -66,8 +87,8 @@ def test_infeasible_divisibility():
     assert solve_diophantine([[2]], [1]) is None
     assert solve_diophantine([[4, 6]], [3]) is None
     # 2x = 1 mod 4 has no solution; 2x = 2 mod 4 leaves x = 1 mod 2
-    assert solve_diophantine([[2]], [1], moduli=[4]) is None
-    sol = solve_diophantine([[2]], [2], moduli=[4])
+    assert solve([[2]], [1], [4]) is None
+    sol = solve([[2]], [2], [4])
     assert sol is not None
     assert sol.particular[0] % 2 == 1
     assert [abs(k[0]) for k in sol.kernel] == [2]
@@ -108,7 +129,7 @@ def test_kernel_members_annihilate():
             m = rng.randint(1, 4)
             rows = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
             moduli = random_moduli(rng, n) if congruence else None
-            basis = kernel_basis(rows, moduli=moduli)
+            basis = solve(rows, [0] * n, moduli).kernel
             if congruence:
                 N = math.lcm(*moduli)
                 assert all(0 <= v < N for k in basis for v in k)
@@ -119,9 +140,9 @@ def test_kernel_members_annihilate():
 
 def test_modulus_one_row_is_no_constraint():
     rows = [[3, 5], [0, 2]]
-    sol = solve_diophantine(rows, [7, 1], moduli=[1, 6])
+    sol = solve(rows, [7, 1], [1, 6])
     assert sol is None  # 2y = 1 mod 6 is unsolvable whatever the first row
-    sol = solve_diophantine(rows, [7, 4], moduli=[1, 6])
+    sol = solve(rows, [7, 4], [1, 6])
     assert sol is not None
     assert satisfies(rows, sol.particular, [7, 4], [1, 6])
     # x is free and y is fixed mod 3
@@ -130,26 +151,25 @@ def test_modulus_one_row_is_no_constraint():
     assert not in_lattice(sol.kernel, (0, 1))
 
 
-def test_moduli_must_match_rows_and_be_positive():
+def test_right_hand_side_must_match_rows():
     with pytest.raises(ValueError):
-        solve_diophantine([[1]], [0], moduli=[2, 3])
+        solve_diophantine([[1]], [0, 0])
     with pytest.raises(ValueError):
-        kernel_basis([[1]], moduli=[0])
+        kernel_basis([])
 
 
 def test_unconstrained_kernel_spans_everything():
     for moduli in (None, []):
-        basis = kernel_basis([], num_cols=3, moduli=moduli)
-        # no rows: N = lcm() = 1, so N*e_j alone spans everything
-        assert len(basis) == (3 if moduli is None else 0)
-        for unit in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-            assert in_lattice(solution_lattice(basis, 3, moduli), unit)
-        sol = solve_diophantine([], [], num_cols=3, moduli=moduli)
+        sol = solve([], [], moduli, num_cols=3)
         assert sol is not None
         assert sol.particular == (0, 0, 0)
-        assert sol.kernel == tuple(basis)
+        # no rows: N = lcm() = 1, so N*e_j alone spans everything
+        assert len(sol.kernel) == (3 if moduli is None else 0)
+        for unit in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+            assert in_lattice(solution_lattice(sol.kernel, 3, moduli), unit)
+    assert tuple(kernel_basis([], num_cols=3)) == solve_diophantine([], [], 3).kernel
     with pytest.raises(ValueError):
-        kernel_basis([], moduli=[])
+        solve([], [], [])
 
 
 def brute_solutions(rows, b, m, lo=-8, hi=8, moduli=None):
@@ -184,7 +204,7 @@ def test_solution_set_matches_brute_force():
             moduli = random_moduli(rng, n) if congruence else None
             x0 = [rng.randint(-2, 2) for _ in range(m)]
             b = mat_vec(rows, x0)  # feasible by construction
-            sol = solve_diophantine(rows, b, moduli=moduli)
+            sol = solve(rows, b, moduli)
             assert sol is not None
             assert satisfies(rows, sol.particular, b, moduli)
             assert_reduced(sol, moduli)
@@ -206,9 +226,12 @@ def test_none_means_no_solutions_in_box():
             rows = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
             moduli = random_moduli(rng, n) if congruence else None
             b = [rng.randint(-6, 6) for _ in range(n)]
-            if solve_diophantine(rows, b, moduli=moduli) is None:
+            sol = solve(rows, b, moduli)
+            if sol is None:
                 checked += 1
                 assert not brute_solutions(rows, b, m, -12, 12, moduli)
+            else:
+                assert satisfies(rows, sol.particular, b, moduli)
         assert checked > 20
 
 
