@@ -3,6 +3,9 @@
 The input coset state is fixed by an explicit set of commuting Pauli
 labels. The labels are held as one column-major tableau, and each gate
 rewrites, in closed form, only the columns of the factors it acts on.
+Over Z_2^m, where the gates are the qubit Clifford gates, each column is
+one int with a bit per label and a gate costs a few word operations;
+other groups keep a list of residues per column.
 Pauli gates only move phases, so they are folded into one frame row
 that the other gates carry along, and its phases are applied once at
 the end.
@@ -21,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from operator import floordiv, mod, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,7 +49,7 @@ from .homs import (
 # kernel_basis, pauli_dagger, pauli_identity, pauli_mul, pauli_pow,
 # extract_endo and quad_eval have no caller here; perfbench's tracer
 # wraps them in this namespace, so they stay bound
-from .intlinalg import howell_eliminate, kernel_basis
+from .intlinalg import _DIGIT, _PARITY, howell_eliminate, kernel_basis
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
@@ -87,7 +91,9 @@ class Tableau:
 
     z[i] and x[i] list factor i's residues over the rows, and phase the
     rows' exponents mod 2|G|, as plain ints: a gate rewrites only the
-    columns of the factors it touches and builds no group element.
+    columns of the factors it touches and builds no group element. Each
+    gate's conjugate calls the update of its kind: fourier,
+    automorphism, quadratic or pauli.
 
     The first Pauli gate appends one more row, the Pauli frame (as in
     Stim, arXiv:2103.02202): the product F of the Pauli gates so far, up
@@ -95,7 +101,20 @@ class Tableau:
     gate only adds its parts into it, so the circuit acts as F U' with U'
     its other gates. labels() applies F's commutation character to every
     row once and drops the frame; F's own phase never matters.
+
+    Labels over Z_2^m (moduli of lcm 2) make a _Z2Tableau, which holds
+    the same state in bits. Every phase a gate adds there is a multiple
+    of U = |G|/2: qft adds |G| z_i x_i; the encoding's check, 2n + b = 0
+    and 2b = 0 mod 2|G| for d_i = 2, makes each n a multiple of U and
+    each b one of |G|; the frame adds |G| times a parity. So a row's
+    phase is its input exponent plus U times an increment mod 4, and
+    labels with odd phases stay exact.
     """
+
+    def __new__(cls, labels: Sequence[PauliLabel]):
+        if cls is Tableau and math.lcm(*labels[0].group.moduli) == 2:
+            cls = _Z2Tableau
+        return super().__new__(cls)
 
     def __init__(self, labels: Sequence[PauliLabel]):
         self.group = _common_group(labels)
@@ -104,13 +123,43 @@ class Tableau:
         self.phase = [s.phase.value for s in labels]
         self.framed = False
 
-    def add_to_frame(self, p: PauliLabel) -> None:
+    def fourier(self, gate: FourierGate) -> None:
+        d, L = self.group.moduli, self.group.phase_modulus
+        ph = self.phase
+        for i in gate.targets:
+            g, h, u = self.z[i], self.x[i], L // d[i]
+            ph = [a + u * gk * hk for a, gk, hk in zip(ph, g, h)]
+            neg = [(-v) % d[i] for v in (h if gate.inverse else g)]
+            self.z[i], self.x[i] = (neg, g) if gate.inverse else (h, neg)
+        self.phase = [a % L for a in ph]
+
+    def automorphism(self, gate: AutomorphismGate) -> None:
+        self.z = _push(gate._z_action, self.z, len(self.phase))
+        self.x = _push(gate.matrix, self.x, len(self.phase))
+
+    def quadratic(self, gate: QuadraticGate) -> None:
+        # X(x) picks up xi(x) and a Z(w(x)) tail; moving chi_{w(k)}(x) onto
+        # k overshoots by B(x,x) once, so each term's phase is xi's minus B's.
+        # The encoding's check makes each b divide exactly by 2|G|/d_l.
+        d, L = self.group.moduli, self.group.phase_modulus
+        z, x, ph = self.z, self.x, self.phase
+        diag, pairs = gate.encoding.terms
+        for i, n, b in diag:
+            ph = [a + v * n - b * (v * (v + 1) // 2) for a, v in zip(ph, x[i])]
+            z[i] = _axpy(z[i], b // (L // d[i]), x[i], d[i])
+        for i, j, b in pairs:
+            ph = [a - b * vi * vj for a, vi, vj in zip(ph, x[i], x[j])]
+            z[i] = _axpy(z[i], b // (L // d[i]), x[j], d[i])
+            z[j] = _axpy(z[j], b // (L // d[j]), x[i], d[j])
+        self.phase = [a % L for a in ph]
+
+    def pauli(self, gate: PauliGate) -> None:
         if not self.framed:
             for col in (*self.z, *self.x, self.phase):
                 col.append(0)
             self.framed = True
         d = self.group.moduli
-        for cols, part in ((self.z, p.z_part), (self.x, p.x_part)):
+        for cols, part in ((self.z, gate.label.z_part), (self.x, gate.label.x_part)):
             for i, v in part.nonzero_residues:
                 cols[i][-1] = (cols[i][-1] + v) % d[i]
 
@@ -141,6 +190,107 @@ class Tableau:
         )
 
 
+class _Z2Tableau(Tableau):
+    """The Tableau over Z_2^m in bits: each column one int, as Stim's
+    bit-packed rows (arXiv:2103.02202) are, with row r of R in bit R-1-r.
+
+    `a` lists the input phases, and the increments mod 4, in units of
+    |G|/2, are the bit-planes p0 + 2 p1. The Pauli frame is (fz, fx),
+    factor i in bit i: zero until a Pauli gate, never a row.
+    """
+
+    def __init__(self, labels: Sequence[PauliLabel]):
+        self.group = group = _common_group(labels)
+        m = group.num_factors
+        self.a = [s.phase.value for s in labels]
+        self.z = _bit_columns([s.z_part.residues for s in labels], m)
+        self.x = _bit_columns([s.x_part.residues for s in labels], m)
+        self.p0 = self.p1 = self.fz = self.fx = 0
+
+    def fourier(self, gate: FourierGate) -> None:
+        # -v = v over Z_2, so either direction swaps z_i and x_i
+        z, x = self.z, self.x
+        for i in gate.targets:
+            self.p1 ^= z[i] & x[i]
+            z[i], x[i] = x[i], z[i]
+            t = (self.fz ^ self.fx) & (1 << i)
+            self.fz ^= t
+            self.fx ^= t
+
+    def automorphism(self, gate: AutomorphismGate) -> None:
+        self.z, self.fz = _xor_push(gate._z_action, self.z, self.fz)
+        self.x, self.fx = _xor_push(gate.matrix, self.x, self.fx)
+
+    def quadratic(self, gate: QuadraticGate) -> None:
+        # A diagonal term adds (n - b) x_i and a pair term -b x_i x_j; b is
+        # 0 or |G|, never 0 in a pair term, and b = |G| adds x to z as w(x)
+        # does.
+        G = self.group.order
+        z, x = self.z, self.x
+        p0, p1, fz, fx = self.p0, self.p1, self.fz, self.fx
+        diag, pairs = gate.encoding.terms
+        for i, n, b in diag:
+            c, col = (n - b) // (G // 2), x[i]
+            if c & 1:
+                p1 ^= p0 & col
+                p0 ^= col
+            if c & 2:
+                p1 ^= col
+            if b:
+                z[i] ^= col
+                fz ^= fx & (1 << i)
+        for i, j, _ in pairs:
+            p1 ^= x[i] & x[j]
+            z[i] ^= x[j]
+            z[j] ^= x[i]
+            fz ^= (fx >> j & 1) << i | (fx >> i & 1) << j
+        self.p0, self.p1, self.fz = p0, p1, fz
+
+    def pauli(self, gate: PauliGate) -> None:
+        # the label's parts as masks, factor i in bit i
+        p = gate.label
+        self.fz ^= int(bytes(p.z_part.residues[::-1]).translate(_PARITY), 2)
+        self.fx ^= int(bytes(p.x_part.residues[::-1]).translate(_PARITY), 2)
+
+    def labels(self) -> tuple[PauliLabel, ...]:
+        # F ~ Z(g) X(h) moves each phase by chi_g(x) chi_z(-h), |G| (g.x + h.z)
+        parity = 0
+        for col in (*_at_bits(self.fz, self.x), *_at_bits(self.fx, self.z)):
+            parity ^= col
+        self.p1 ^= parity
+        self.fz = self.fx = 0
+        g, R, element = self.group, len(self.a), GroupElement._reduced
+        U = g.order // 2
+        rows = zip(self.a, _bit_rows((self.p0, self.p1), R),
+                   _bit_rows(self.z, R), _bit_rows(self.x, R))
+        return tuple(
+            PauliLabel(
+                PhaseExponent(g, a + U * (k[0] + 2 * k[1])),
+                element(g, tuple(z)),
+                element(g, tuple(x)),
+            )
+            for a, k, z, x in rows
+        )
+
+
+def _bit_columns(rows: list[tuple[int, ...]], m: int) -> list[int]:
+    """Columns of 0/1 rows as ints, row r of R in bit R-1-r."""
+    flat = b"".join(map(bytes, rows))
+    return [int(flat[i::m].translate(_PARITY), 2) for i in range(m)]
+
+
+def _bit_rows(cols: Sequence[int], R: int) -> list[bytes]:
+    """The rows of _bit_columns back, each as bytes of 0/1."""
+    flat = "".join(format(c, f"0{R}b") for c in cols).encode().translate(_DIGIT)
+    return [flat[r::R] for r in range(R)]
+
+
+def _at_bits(mask: int, cols: list[int]) -> Iterator[int]:
+    """cols[i] for each bit i set in mask."""
+    bits = format(mask, f"0{len(cols)}b")[::-1]
+    return compress(cols, bits.encode().translate(_DIGIT))
+
+
 def _axpy(acc: list[int], c: int, col: list[int], mod: int) -> list[int]:
     return [(a + c * v) % mod for a, v in zip(acc, col)]
 
@@ -154,12 +304,23 @@ def _push(A: EndoMatrix, cols: list[list[int]], rows: int) -> list[list[int]]:
     return acc
 
 
+def _xor_push(A: EndoMatrix, cols: list[int], frame: int) -> tuple[list[int], int]:
+    """_push over Z_2 on bit columns, and A applied to the frame's bits."""
+    acc, out = [0] * len(cols), 0
+    for k, (src, col) in enumerate(zip(cols, A.columns)):
+        hit = frame >> k & 1
+        for l, _ in col.nonzero_residues:
+            acc[l] ^= src
+            out ^= hit << l
+    return acc, out
+
+
 def _on_tableau(apply):
     """conjugate(target): apply to a Tableau in place, or to one label."""
 
     def conjugate(self, target: Tableau | PauliLabel) -> Tableau | PauliLabel:
         tab = target if isinstance(target, Tableau) else Tableau((target,))
-        if tab.group != self.group:
+        if tab.group is not self.group and tab.group != self.group:
             raise GroupMismatchError(
                 f"gate over {self.group} applied to labels over {tab.group}"
             )
@@ -187,14 +348,7 @@ class FourierGate:
 
     @_on_tableau
     def conjugate(self, tab: Tableau) -> None:
-        d, L = self.group.moduli, self.group.phase_modulus
-        ph = tab.phase
-        for i in self.targets:
-            g, h, u = tab.z[i], tab.x[i], L // d[i]
-            ph = [a + u * gk * hk for a, gk, hk in zip(ph, g, h)]
-            neg = [(-v) % d[i] for v in (h if self.inverse else g)]
-            tab.z[i], tab.x[i] = (neg, g) if self.inverse else (h, neg)
-        tab.phase = [a % L for a in ph]
+        tab.fourier(self)
 
 
 @dataclass(frozen=True)
@@ -219,8 +373,7 @@ class AutomorphismGate:
 
     @_on_tableau
     def conjugate(self, tab: Tableau) -> None:
-        tab.z = _push(self._z_action, tab.z, len(tab.phase))
-        tab.x = _push(self.matrix, tab.x, len(tab.phase))
+        tab.automorphism(self)
 
 
 @dataclass(frozen=True)
@@ -235,20 +388,7 @@ class QuadraticGate:
 
     @_on_tableau
     def conjugate(self, tab: Tableau) -> None:
-        # X(x) picks up xi(x) and a Z(w(x)) tail; moving chi_{w(k)}(x) onto
-        # k overshoots by B(x,x) once, so each term's phase is xi's minus B's.
-        # The encoding's check makes each b divide exactly by 2|G|/d_l.
-        d, L = self.group.moduli, self.group.phase_modulus
-        z, x, ph = tab.z, tab.x, tab.phase
-        diag, pairs = self.encoding.terms
-        for i, n, b in diag:
-            ph = [a + v * n - b * (v * (v + 1) // 2) for a, v in zip(ph, x[i])]
-            z[i] = _axpy(z[i], b // (L // d[i]), x[i], d[i])
-        for i, j, b in pairs:
-            ph = [a - b * vi * vj for a, vi, vj in zip(ph, x[i], x[j])]
-            z[i] = _axpy(z[i], b // (L // d[i]), x[j], d[i])
-            z[j] = _axpy(z[j], b // (L // d[j]), x[i], d[j])
-        tab.phase = [a % L for a in ph]
+        tab.quadratic(self)
 
 
 @dataclass(frozen=True)
@@ -263,7 +403,7 @@ class PauliGate:
 
     @_on_tableau
     def conjugate(self, tab: Tableau) -> None:
-        tab.add_to_frame(self.label)
+        tab.pauli(self)
 
 
 Gate = FourierGate | AutomorphismGate | QuadraticGate | PauliGate

@@ -111,7 +111,9 @@ def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
         )
         return row, (s * a + t * b - w * pair) % L
 
-    pool = [([v % N for v in x], a) for x, a in rows]
+    # phases are reduced on entry as combine reduces them, so a step
+    # skipped as the identity stores what combine would have
+    pool = [([v % N for v in x], a % L if L else 0) for x, a in rows]
     pool = [row for row in pool if any(row[0]) or row[1]]
     echelon: list[tuple[int, Row]] = []
     for c in range(stop):
@@ -127,7 +129,11 @@ def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
                 a = piv[0][c]
                 g, s, t = _exgcd(a, b)
                 p, q = a // g, b // g
-                piv, row = combine(piv, s, row, t), combine(row, p, piv, -q)
+                # (s, t) = (1, 0): the pivot divides b and stays as it is
+                piv, row = (
+                    piv if (s, t) == (1, 0) else combine(piv, s, row, t),
+                    combine(row, p, piv, -q),
+                )
                 if any(row[0]) or row[1]:
                     rest.append(row)
         if piv is not None:
@@ -135,7 +141,8 @@ def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
             annihilator = combine(piv, N // g, piv, 0)
             if any(annihilator[0]) or annihilator[1]:
                 rest.append(annihilator)
-            piv = combine(piv, s, piv, 0)
+            if s != 1:
+                piv = combine(piv, s, piv, 0)
             for i, (e, row) in enumerate(echelon):
                 q = row[0][c] // g
                 if q:
@@ -176,7 +183,7 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
             return x, 0
         return x, (u[1] - v[1] + w * (v[0] & x >> stop).bit_count()) % L
 
-    pool = [(pack(x), a) for x, a in rows]
+    pool = [(pack(x), a % L if L else 0) for x, a in rows]
     pool = [row for row in pool if row[0] or row[1]]
     echelon: list[tuple[int, tuple[int, int]]] = []
     for c in range(stop):

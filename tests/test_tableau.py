@@ -5,7 +5,8 @@ labels. `reference_circuit` in helpers.py conjugates one label at a
 time through group elements, in the per-label form each gate kind had
 before the tableau. The two must agree exactly, label for label, on
 random circuits of every gate kind over up to 64 factors with moduli
-from 2 to 2^40 and 10^9+7.
+from 2 to 2^40 and 10^9+7. Each test also runs on Z_2^m for every m
+of Z2_WIDTHS, where the tableau holds its state in bits.
 """
 
 import math
@@ -32,12 +33,32 @@ from normsim.quadratic import QuadraticEncoding, build_quadratic, quad_square
 
 MODULI = (2, 4, 6, 9, 16, 27, 2**40, 10**9 + 7)
 SEEDS = range(10)
+Z2_WIDTHS = (1, 2, 8, 64, 65, 130)
+# the seeds draw their groups as they always have; a "z2^m" case runs on Z_2^m
+CASES = [*SEEDS, *(f"z2^{m}" for m in Z2_WIDTHS)]
 KINDS = ("qft", "auto", "character", "square", "half", "cross", "from_endo", "pauli")
 
 
 def random_group(rng, max_factors=64):
     m = rng.choice((1, 2, 3, 5, 8, 16, max_factors))
     return AbelianGroup(tuple(rng.choice(MODULI) for _ in range(m)))
+
+
+def case_group(base, case, max_factors=64):
+    """(rng, group) for a case of CASES: a seed s draws from Random(base + s)."""
+    if isinstance(case, int):
+        rng = random.Random(base + case)
+        return rng, random_group(rng, max_factors)
+    return random.Random(f"{base}:{case}"), AbelianGroup((2,) * int(case[3:]))
+
+
+def groups(rng, n):
+    """n groups drawn from rng as they are needed, then Z_2^m for each
+    width of Z2_WIDTHS."""
+    for _ in range(n):
+        yield random_group(rng)
+    for m in Z2_WIDTHS:
+        yield AbelianGroup((2,) * m)
 
 
 def random_label(rng, group):
@@ -112,10 +133,9 @@ def inverse_gate(gate):
     return PauliGate(pauli_dagger(gate.label))
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_tableau_matches_per_label_reference(seed):
-    rng = random.Random(seed)
-    group = random_group(rng)
+@pytest.mark.parametrize("case", CASES)
+def test_tableau_matches_per_label_reference(case):
+    rng, group = case_group(0, case)
     labels = [random_label(rng, group) for _ in range(rng.randint(1, 12))]
     gates = random_circuit(rng, group, 40)
     assert conjugate_circuit(labels, gates) == reference_circuit(labels, gates)
@@ -124,8 +144,7 @@ def test_tableau_matches_per_label_reference(seed):
 @pytest.mark.parametrize("kind", KINDS)
 def test_every_kind_matches_reference_alone(kind):
     rng = random.Random(kind)
-    for _ in range(6):
-        group = random_group(rng)
+    for group in groups(rng, 6):
         labels = [random_label(rng, group) for _ in range(5)]
         gate = random_gate(rng, group, kind)
         assert conjugate_circuit(labels, [gate]) == reference_circuit(labels, [gate])
@@ -134,8 +153,7 @@ def test_every_kind_matches_reference_alone(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_single_label_conjugate_is_a_one_row_tableau(kind):
     rng = random.Random(100 + len(kind))
-    for _ in range(6):
-        group = random_group(rng)
+    for group in groups(rng, 6):
         label = random_label(rng, group)
         gate = random_gate(rng, group, kind)
         out = gate.conjugate(label)
@@ -143,10 +161,9 @@ def test_single_label_conjugate_is_a_one_row_tableau(kind):
         assert out == reference_conjugate(gate, label)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_fourier_to_the_fourth_is_identity(seed):
-    rng = random.Random(200 + seed)
-    group = random_group(rng)
+@pytest.mark.parametrize("case", CASES)
+def test_fourier_to_the_fourth_is_identity(case):
+    rng, group = case_group(200, case)
     labels = tuple(random_label(rng, group) for _ in range(6))
     for i in range(group.num_factors):
         for inverse in (False, True):
@@ -154,10 +171,9 @@ def test_fourier_to_the_fourth_is_identity(seed):
             assert conjugate_circuit(labels, [gate] * 4) == labels
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_circuit_then_inverse_is_identity(seed):
-    rng = random.Random(300 + seed)
-    group = random_group(rng, max_factors=24)
+@pytest.mark.parametrize("case", CASES)
+def test_circuit_then_inverse_is_identity(case):
+    rng, group = case_group(300, case, max_factors=24)
     labels = tuple(random_label(rng, group) for _ in range(6))
     gates = random_circuit(rng, group, 30)
     undo = [inverse_gate(g) for g in reversed(gates)]
@@ -234,10 +250,9 @@ def pauli_dense_circuit(rng, group, n_gates):
     return gates
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_pauli_frame_matches_per_label_reference(seed):
-    rng = random.Random(400 + seed)
-    group = random_group(rng)
+@pytest.mark.parametrize("case", CASES)
+def test_pauli_frame_matches_per_label_reference(case):
+    rng, group = case_group(400, case)
     labels = [random_label(rng, group) for _ in range(rng.randint(1, 8))]
     gates = pauli_dense_circuit(rng, group, 30)
     assert conjugate_circuit(labels, gates) == reference_circuit(labels, gates)
@@ -248,8 +263,7 @@ def test_pauli_frame_matches_per_label_reference(seed):
 @pytest.mark.parametrize("kind", [k for k in KINDS if k != "pauli"])
 def test_pauli_frame_on_either_side_of_each_kind(kind):
     rng = random.Random(500 + len(kind))
-    for _ in range(4):
-        group = random_group(rng)
+    for group in groups(rng, 4):
         labels = [random_label(rng, group) for _ in range(4)]
         p, q = (random_gate(rng, group, "pauli") for _ in range(2))
         g = random_gate(rng, group, kind)
@@ -287,3 +301,42 @@ def test_a_circuit_without_pauli_gates_adds_no_frame_row():
             assert len(tab.phase) == len(labels)
     PauliGate(random_label(rng, group)).conjugate(tab)
     assert len(tab.phase) == len(labels) + 1
+
+
+def test_z2_labels_flush_the_frame_once():
+    """The bit tableau's counterpart: its frame is two ints, zeroed by a read."""
+    rng = random.Random(601)
+    group = AbelianGroup((2,) * 65)
+    labels = [random_label(rng, group) for _ in range(5)]
+    first = pauli_dense_circuit(rng, group, 12)
+    second = pauli_dense_circuit(rng, group, 12)
+    tab = Tableau(labels)
+    for gate in first:
+        gate.conjugate(tab)
+    assert (tab.fz, tab.fx) != (0, 0)
+    read = tab.labels()
+    assert read == reference_circuit(labels, first)
+    assert (tab.fz, tab.fx) == (0, 0)
+    assert tab.labels() == read
+    for gate in second:
+        gate.conjugate(tab)
+    assert tab.labels() == reference_circuit(labels, first + second)
+    assert len(tab.a) == len(labels)
+
+
+def test_z2_frame_is_present_only_after_a_pauli_gate():
+    """The bit tableau's counterpart: no row is ever added, and the frame
+    stays zero until a Pauli gate puts that gate's parts into it."""
+    rng = random.Random(701)
+    group = AbelianGroup((2,) * 8)
+    labels = [random_label(rng, group) for _ in range(3)]
+    tab = Tableau(labels)
+    for gate in random_circuit(rng, group, 20):
+        if not isinstance(gate, PauliGate):
+            gate.conjugate(tab)
+            assert (tab.fz, tab.fx) == (0, 0)
+            assert all(c >> len(labels) == 0 for c in (*tab.z, *tab.x))
+    gate = PauliGate(pauli_label(group, 1, [1, 0, 1] + [0] * 5, [0] * 7 + [1]))
+    gate.conjugate(tab)
+    assert (tab.fz, tab.fx) == (0b101, 0b10000000)
+    assert all(c >> len(labels) == 0 for c in (*tab.z, *tab.x))

@@ -1,4 +1,5 @@
-"""The names that the benchmark's tracer wraps stay bound where it looks.
+"""The names that the benchmark's tracer wraps stay bound where it looks,
+and simulate goes through each gate's wrapped conjugate.
 
 `perfbench/tracing.py` replaces each (module, name) of `MODULE_TARGETS`
 and each (class, method) of `METHOD_TARGETS` through the owner's
@@ -12,6 +13,16 @@ from pathlib import Path
 
 import pytest
 
+from normsim.engine import (
+    AutomorphismGate,
+    FourierGate,
+    PauliGate,
+    QuadraticGate,
+    simulate,
+)
+from test_golden import clifford_z2_8, mixed_moduli
+
+GATE_CLASSES = (FourierGate, AutomorphismGate, QuadraticGate, PauliGate)
 TRACING_PY = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING_PY)
 TRACING = importlib.util.module_from_spec(_spec)
@@ -34,3 +45,25 @@ def test_module_target_is_bound(module, attr):
 )
 def test_method_target_is_bound(cls, attr):
     assert attr in cls.__dict__
+
+
+@pytest.mark.parametrize(
+    "circuit", [clifford_z2_8, mixed_moduli], ids=lambda f: f.__name__
+)
+def test_simulate_calls_each_gate_conjugate_once_per_gate(circuit, monkeypatch):
+    """The tracer times each gate kind by wrapping its class's conjugate,
+    so simulate must reach every gate through that method, once each and
+    in order, on the bit tableau of Z_2^m and on the list tableau alike."""
+    coset, gates = circuit()
+    assert {type(g) for g in gates} == set(GATE_CLASSES)
+    calls = []
+    for cls in GATE_CLASSES:
+
+        def counted(gate, target, conjugate=cls.__dict__["conjugate"]):
+            calls.append(gate)
+            return conjugate(gate, target)
+
+        monkeypatch.setattr(cls, "conjugate", counted)
+    simulate(coset, gates)
+    assert len(calls) == len(gates)
+    assert all(c is g for c, g in zip(calls, gates))
