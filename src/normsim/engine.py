@@ -49,7 +49,7 @@ from .homs import (
 # kernel_basis, pauli_dagger, pauli_identity, pauli_mul, pauli_pow,
 # extract_endo and quad_eval have no caller here; perfbench's tracer
 # wraps them in this namespace, so they stay bound
-from .intlinalg import _DIGIT, _PARITY, howell_eliminate, kernel_basis
+from .intlinalg import _DIGIT, _PARITY, howell_eliminate, howell_reduce, kernel_basis
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
@@ -567,8 +567,8 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
 
     One Howell elimination runs over the labels as rows (x | z | a), x
     embedded in Z_N^m as Subgroup.howell does, and every row operation
-    is a label product (see howell_eliminate). The echelon rows' X parts
-    are then the Howell basis of the support, generated by the X parts.
+    is a label product (see howell_eliminate). The echelon rows' X parts,
+    reduced, are then the Howell basis of the support, generated by the X parts.
     The pool rows are the purely diagonal stabilizer elements gamma^c
     Z(z), and they generate all of them; fixing the state forces
     chi_z(x) = gamma^{-c} on every support point x, which pins down the
@@ -602,10 +602,10 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     offset = solve_character_system(group, diag_gens, diag_phases)
     if offset is None:
         raise EngineError("diagonal constraints are unsatisfiable")
-    # the X part of an echelon row is a multiple of N/d_j in column j
+    x_parts = howell_reduce(echelon, N, m)  # column j a multiple of N/d_j
     basis = HowellBasis(
         group,
-        tuple(element(group, tuple(map(floordiv, v, scale))) for _, (v, _) in echelon),
+        tuple(element(group, tuple(map(floordiv, v, scale))) for v in x_parts),
         tuple(c for c, _ in echelon),
     )
     return OutputDistribution.from_canonical(basis.reduce(offset), basis)

@@ -41,17 +41,15 @@ class EndoMatrix:
     columns: tuple[GroupElement, ...]
 
     def __post_init__(self):
-        m = self.group.num_factors
-        if len(self.columns) != m:
-            raise ValueError(f"expected {m} columns, got {len(self.columns)}")
+        d = self.group.moduli
+        if len(self.columns) != len(d):
+            raise ValueError(f"expected {len(d)} columns, got {len(self.columns)}")
         for i, col in enumerate(self.columns):
             if col.group != self.group:
                 raise ValueError("column element belongs to a different group")
-            if not (self.group.moduli[i] * col).is_zero:
+            if any(d[i] * r % d[k] for k, r in col.nonzero_residues):
                 raise InvalidEndomorphism(
-                    i,
-                    f"column {i} image {col} has order not dividing "
-                    f"{self.group.moduli[i]}",
+                    i, f"column {i} image {col} has order not dividing {d[i]}"
                 )
 
     @classmethod
@@ -108,46 +106,46 @@ def endo_dual(A: EndoMatrix) -> EndoMatrix:
 def auto_inverse(A: EndoMatrix) -> EndoMatrix | None:
     """Matrix of the inverse automorphism, or None when A is not invertible.
 
-    Row k of the inverse B lives in Z_{d_k}; scaled by s_k = N/d_k, with
-    N = lcm(d), it becomes the unknown y = s_k B_k. of congruences mod N
-    that no longer depend on k except through the right-hand side:
+    Row k of the inverse B lives in Z_{d_k}. With N = lcm(d) and
+    s_j = N/d_j, x -> sum_j s_j u_j x_j for u in Z_N^m runs over the
+    homomorphisms G -> Z_N, and row k of B is the one with s_j u_j =
+    s_k B_kj, so B A = I on e^i is a congruence on u over m columns:
 
-        sum_j y_j A_ji = s_k delta_ki  for each i  (B undoes A on e^i)
-        d_j y_j = 0                    for each j  (B is a homomorphism)
+        sum_j u_j s_j A_ji = s_k delta_ki  (mod N),  u (S A) = s_k e_k,
 
-    Over Z_N these say y M = (s_k e_k | 0) for the m x 2m matrix
-    M = [A | diag(d)]. The y with d_j y_j = 0 are the homomorphisms
-    G -> Z_N, and y -> y A is a bijection on them exactly when A is, so
-    A is invertible exactly when y M = 0 forces y = 0. One solve_mod of
-    M^T y = (s_k e_k | 0) answers all m rows and that question. The
-    result is checked exactly against A before it is returned.
+    S = diag(s). Such a B is a homomorphism, as d_j s_j u_j = N u_j.
+    Composing with A is a bijection of the finite group Hom(G, Z_N)
+    exactly when A is one of G, and the targets generate Hom(G, Z_N); so
+    A is invertible exactly when every target is solved, and then every
+    kernel vector u has s_j u_j = 0 mod N, s_j u_j is unique and B_kj =
+    s_j u_j / s_k. One solve_mod answers it all; B A = I is checked exactly.
     """
     group = A.group
     d = group.moduli
     m = group.num_factors
     N = math.lcm(*d)
-    rows = [list(c.residues) for c in A.columns]
-    rows += [[dj * (i == j) for i in range(m)] for j, dj in enumerate(d)]
-    targets = [[N // dk * (i == k) for i in range(2 * m)] for k, dk in enumerate(d)]
-    ys, kernel = solve_mod(rows, targets, N)
-    if kernel or None in ys:
-        return None  # some y != 0 has y M = 0, or a row has no solution
+    s = [N // dj for dj in d]
+    rows = [[sj * v for sj, v in zip(s, c.residues)] for c in A.columns]
+    targets = [[sk * (i == k) for i in range(m)] for k, sk in enumerate(s)]
+    us, _ = solve_mod(rows, targets, N)
+    if None in us:
+        return None  # composing with A misses s_k e_k, so it is no bijection
     inv_rows = []
-    for k, y in enumerate(ys):
-        s = N // d[k]
-        if any(x % s for x in y):
-            raise ArithmeticError(f"row {k} of the inverse is not a multiple of {s}")
-        inv_rows.append([x // s % d[k] for x in y])
-    # exact check: B A = I row-wise mod d_k; EndoMatrix checks that B is
-    # a homomorphism
-    for k, row in enumerate(inv_rows):
-        for i in range(m):
-            acc = sum(row[j] * v for j, v in A.columns[i].nonzero_residues)
-            if (acc - (i == k)) % d[k]:
-                raise ArithmeticError(f"entry ({k}, {i}) of B A is not {int(i == k)}")
-    return EndoMatrix(
-        group, tuple(group.element([r[j] for r in inv_rows]) for j in range(m))
-    )
+    for k, (sk, u) in enumerate(zip(s, us)):
+        y = [sj * v % N for sj, v in zip(s, u)]
+        if any(x % sk for x in y):
+            raise ArithmeticError(f"row {k} of the inverse is not a multiple of {sk}")
+        inv_rows.append([x // sk for x in y])
+    # exact check: B A = I column by column, mod d_k; EndoMatrix checks
+    # that B is a homomorphism
+    columns = list(zip(*inv_rows))
+    for i, col in enumerate(A.columns):
+        acc = [-(k == i) for k in range(m)]
+        for j, v in col.nonzero_residues:
+            acc = [a + v * b for a, b in zip(acc, columns[j])]
+        if any(a % dk for a, dk in zip(acc, d)):
+            raise ArithmeticError(f"column {i} of B A is not e^{i}")
+    return EndoMatrix(group, tuple(GroupElement._reduced(group, c) for c in columns))
 
 
 @dataclass(frozen=True)

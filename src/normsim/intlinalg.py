@@ -5,10 +5,10 @@ congruence system goes through one primitive, `solve_mod`: A x = b mod
 N for any number of right-hand sides, by a Howell elimination over Z_N
 that keeps every entry in [0, N). `solve_diophantine` takes a system
 exactly over the integers, where the solution set is particular +
-Z-span(kernel). `howell_form` reduces a matrix over Z_N to its Howell
-form, and `howell_eliminate` runs the same elimination over Pauli
-labels, every row operation a label product. Over Z_2 the elimination
-holds each row as one int.
+Z-span(kernel). `howell_eliminate` runs the elimination, over labels
+too, and leaves its echelon unreduced, which `solve_mod` never needs;
+`howell_reduce` reduces it for `howell_form` and readout, the callers
+that read the canonical form. Over Z_2 rows are held as ints.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("rows must all have the same length")
-    echelon, _ = howell_eliminate([(row, 0) for row in rows], N, n)
-    return [tuple(row) for _, (row, _) in echelon]
+    return howell_reduce(howell_eliminate([(row, 0) for row in rows], N, n)[0], N, n)
 
 
 Row = tuple[list[int], int]
@@ -78,7 +77,8 @@ def howell_eliminate(rows: Sequence[Row], N: int, stop: int, L: int = 0):
     the annihilator (N/g) * pivot row in the pool (Storjohann & Mulders,
     "Fast algorithms for linear algebra modulo N", 1998). So the pool's
     rows, all zero in the first `stop` columns, span every span vector
-    that is; echelon lists (pivot column, row) for the pivots there.
+    that is; echelon lists (pivot column, row) for the pivots there, each
+    a divisor of N, its row not reduced against later pivots.
 
     On labels every step is a product of integer powers of rows, in
     closed form with the exact gcd exponents, so no phase relies on a
@@ -143,10 +143,6 @@ def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
                 rest.append(annihilator)
             if s != 1:
                 piv = combine(piv, s, piv, 0)
-            for i, (e, row) in enumerate(echelon):
-                q = row[0][c] // g
-                if q:
-                    echelon[i] = e, combine(row, 1, piv, -q)
             echelon.append((c, piv))
         pool = rest
     return echelon, pool
@@ -204,9 +200,6 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
                 a = (2 * piv[1] - w * (piv[0] & piv[0] >> stop).bit_count()) % L
                 if a:
                     rest.append((0, a))
-            for i, (e, row) in enumerate(echelon):
-                if row[0] & bit:
-                    echelon[i] = e, over(row, piv)
             echelon.append((c, piv))
         pool = rest
 
@@ -214,6 +207,34 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
         return list(format(row[0], f"0{n}b")[:n].encode().translate(_DIGIT)), row[1]
 
     return [(c, unpack(row)) for c, row in echelon], list(map(unpack, pool))
+
+
+def howell_reduce(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
+    """The leading `stop` entries of howell_eliminate's echelon rows, each
+    reduced below the later pivots in one pass: the unique Howell form."""
+    return (_reduce_bits if N == 2 else _reduce_lists)(echelon, N, stop)
+
+
+def _reduce_lists(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
+    rows = [v[:stop] for _, (v, _) in echelon]
+    for i, x in enumerate(rows):
+        for (c, _), y in zip(echelon[i + 1 :], rows[i + 1 :]):
+            q = x[c] // y[c]
+            if q:
+                x = [(a - q * b) % N for a, b in zip(x, y)]
+        rows[i] = tuple(x)
+    return rows
+
+
+def _reduce_bits(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
+    bits = [1 << (stop - 1 - c) for c, _ in echelon]
+    rows = [int(bytes(v[:stop]).translate(_PARITY), 2) for _, (v, _) in echelon]
+    for i, x in enumerate(rows):
+        for bit, y in zip(bits[i + 1 :], rows[i + 1 :]):
+            if x & bit:
+                x ^= y
+        rows[i] = x
+    return [tuple(format(x, f"0{stop}b").encode().translate(_DIGIT)) for x in rows]
 
 
 def solve_mod(
@@ -230,7 +251,8 @@ def solve_mod(
     [A^T | I] is (column i of A | e_i), and y combines the rows to
     (A y | y). Howell elimination of the leading block alone leaves the
     kernel in the pool, and (b | 0) reduces against the echelon rows to
-    (0 | -x) exactly when b = A x is reachable.
+    (0 | -x) exactly when b = A x is reachable: by the Howell property a
+    span vector zero before column c has a multiple of pivot c there.
     """
     n = len(A)
     m = len(A[0]) if n else num_cols

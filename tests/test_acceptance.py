@@ -328,27 +328,49 @@ def column_echelon_local(cols, m):
     return placed
 
 
-def lattice_member(placed, delta, m):
-    rem = list(delta)
+def lattice_members(placed, deltas):
+    """For each column of deltas (m x P), whether it lies in the lattice
+    of the placed columns: the reduction of column_echelon_local's
+    echelon, run on every column at once. Entries stay below 10^4 here;
+    the check keeps int64 from wrapping unseen."""
+    rem = deltas.copy()
+    member = np.ones(rem.shape[1], dtype=bool)
     for row, col in placed:
-        if rem[row] % col[row]:
-            return False
-        q = rem[row] // col[row]
-        for r in range(m):
-            rem[r] -= q * col[r]
-    return all(v == 0 for v in rem)
+        member &= rem[row] % col[row] == 0
+        rem -= np.outer(col, rem[row] // col[row])
+        assert np.abs(rem).max(initial=0) < 2**31
+    return member & ~rem.any(axis=0)
+
+
+def box_solutions(rows, b, heads):
+    """Every x in [-BOX, BOX]^m with A x = b, as an m x P array. Only the
+    first m - 1 coordinates are enumerated (heads[m - 1]); the last one
+    is solved for from the first row that has it, and checked on all."""
+    a = np.array(rows, dtype=np.int64)
+    head = heads[a.shape[1] - 1]
+    rest = np.array(b, dtype=np.int64)[:, None] - a[:, :-1] @ head
+    last = a[:, -1]
+    if not last.any():  # the last coordinate is free in the box
+        fit = head[:, ~rest.any(axis=0)]
+        free = np.arange(-BOX, BOX + 1)
+        return np.vstack(
+            [np.repeat(fit, free.size, axis=1), np.tile(free, fit.shape[1])]
+        )
+    k = np.flatnonzero(last)[0]
+    x, r = np.divmod(rest[k], last[k])
+    fit = (r == 0) & (np.abs(x) <= BOX) & np.all(rest == np.outer(last, x), axis=0)
+    return np.vstack([head[:, fit], x[fit]])
 
 
 def test_06_diophantine_solutions_match_brute_force():
     """500 random integer systems: exact solutions, and the solution
     set inside the [-20, 20] box agrees with exhaustive search."""
     rng = random.Random(606)
-    axes = np.arange(-BOX, BOX + 1, dtype=np.int32)
-    grids = {
-        m: np.stack(
-            [g.ravel() for g in np.meshgrid(*([axes] * m), indexing="ij")]
-        )
-        for m in range(1, 5)
+    axes = np.arange(-BOX, BOX + 1, dtype=np.int64)
+    heads = {
+        k: np.stack([g.ravel() for g in np.meshgrid(*([axes] * k), indexing="ij")])
+        if k else np.zeros((0, 1), dtype=np.int64)
+        for k in range(4)
     }
     for trial in range(500):
         n = rng.randint(1, 4)
@@ -359,14 +381,11 @@ def test_06_diophantine_solutions_match_brute_force():
             b = [sum(r * v for r, v in zip(row, x0)) for row in rows]
         else:
             b = [rng.randint(-8, 8) for _ in range(n)]
-        a_np = np.array(rows, dtype=np.int32)
-        hits = np.flatnonzero(
-            np.all(a_np @ grids[m] == np.array(b, dtype=np.int32)[:, None], axis=0)
-        )
-        brute = grids[m][:, hits].T.tolist()
+        brute = box_solutions(rows, b, heads)
         sol = solve_diophantine(rows, b)
         if sol is None:
-            assert not brute, f"trial {trial}: solver missed {brute[:3]}"
+            missed = brute.T[:3].tolist()
+            assert not brute.size, f"trial {trial}: solver missed {missed}"
             continue
         # exactness of the claimed solutions
         assert [
@@ -381,9 +400,9 @@ def test_06_diophantine_solutions_match_brute_force():
         placed = column_echelon_local(sol.kernel, m)
         if len(placed) == m and all(c[r] == 1 for r, c in placed):
             continue  # full lattice, every point is a member
-        for s in brute:
-            delta = [si - pi for si, pi in zip(s, sol.particular)]
-            assert lattice_member(placed, delta, m), f"trial {trial}: {s}"
+        deltas = brute - np.array(sol.particular, dtype=np.int64)[:, None]
+        member = lattice_members(placed, deltas)
+        assert member.all(), f"trial {trial}: {brute[:, ~member][:, 0].tolist()}"
 
 
 # ---------------------------------------------------------------- gate 7

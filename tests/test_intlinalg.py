@@ -347,11 +347,23 @@ def z2_systems(draw):
 
 
 def list_elimination():
-    """Route howell_eliminate to the list path, whatever N."""
-    return mock.patch.object(
-        intlinalg, "howell_eliminate",
-        lambda rows, N, stop, L=0: intlinalg._howell_lists(rows, N, stop, L),
+    """Route howell_eliminate and howell_reduce to the list paths, whatever N."""
+    return mock.patch.multiple(
+        intlinalg,
+        howell_eliminate=lambda rows, N, stop, L=0: intlinalg._howell_lists(
+            rows, N, stop, L
+        ),
+        howell_reduce=intlinalg._reduce_lists,
     )
+
+
+def assert_packed_is_list(rows, stop, L):
+    """The packed elimination and reduction over Z_2 give exactly the list
+    paths' echelon, pool and reduced rows."""
+    echelon, pool = intlinalg._howell_lists(rows, 2, stop, L)
+    assert intlinalg._howell_bits(rows, 2, stop, L) == (echelon, pool)
+    reduced = intlinalg._reduce_lists(echelon, 2, stop)
+    assert intlinalg._reduce_bits(echelon, 2, stop) == reduced
 
 
 @settings(max_examples=200)
@@ -364,10 +376,7 @@ def test_packed_z2_elimination_is_the_list_elimination(case):
     with list_elimination():
         assert (solve_mod(A, targets, 2, m), howell_form(A, 2)) == packed
     # the elimination itself, over a leading block of the columns
-    rows = [(row, 0) for row in A]
-    stop = len(A[0]) // 2 if A else 0
-    expected = intlinalg._howell_lists(rows, 2, stop, 0)
-    assert intlinalg._howell_bits(rows, 2, stop, 0) == expected
+    assert_packed_is_list([(row, 0) for row in A], len(A[0]) // 2 if A else 0, 0)
 
 
 @settings(max_examples=200)
@@ -379,5 +388,39 @@ def test_packed_z2_label_elimination_is_the_list_elimination(data):
     L = 2 ** data.draw(st.integers(1, 30))
     bits = st.lists(st.integers(0, 1), min_size=2 * k, max_size=2 * k)
     rows = data.draw(st.lists(st.tuples(bits, st.integers(0, L - 1)), max_size=24))
-    expected = intlinalg._howell_lists(rows, 2, k, L)
-    assert intlinalg._howell_bits(rows, 2, k, L) == expected
+    assert_packed_is_list(rows, k, L)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_reduced_label_block_is_the_howell_form_of_the_x_parts(data):
+    """On label rows (x | z, a) over Z_N, the echelon is left unreduced;
+    howell_reduce's leading block is the Howell form of the X parts."""
+    N = data.draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12]))
+    k = data.draw(st.integers(0, 6))
+    L = N * data.draw(st.sampled_from([0, 1, 2, 4]))
+    vec = st.lists(st.integers(0, N - 1), min_size=2 * k, max_size=2 * k)
+    phase = st.integers(0, L - 1) if L else st.just(0)
+    rows = data.draw(st.lists(st.tuples(vec, phase), max_size=10))
+    echelon, _ = intlinalg.howell_eliminate(rows, N, k, L)
+    x_parts = [v[:k] for v, _ in rows]
+    assert intlinalg.howell_reduce(echelon, N, k) == howell_form(x_parts, N)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_solve_mod_solves_non_unique_systems_exactly(data):
+    """With more unknowns than equations the kernel is not trivial, and
+    each solution reduced against the unreduced echelon still satisfies
+    its target exactly; the targets are images A x, so all are solvable."""
+    N = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(n + 1, 12))
+    row = st.lists(st.integers(-N, 2 * N), min_size=m, max_size=m)
+    A = data.draw(st.lists(row, min_size=n, max_size=n))
+    targets = [mat_vec(A, x) for x in data.draw(st.lists(row, min_size=1, max_size=4))]
+    solutions, kernel = solve_mod(A, targets, N)
+    assert kernel
+    for b, x in zip(targets, solutions):
+        assert x is not None
+        assert all((v - t) % N == 0 for v, t in zip(mat_vec(A, x), b))
