@@ -162,7 +162,7 @@ def test_auto_inverse_on_128_mixed_factors_in_bounded_time():
     ident, a = mixed_automorphism(128)
     start = time.perf_counter()
     inv = auto_inverse(a)
-    assert time.perf_counter() - start < 0.45
+    assert time.perf_counter() - start < 0.6
     assert inv.compose(a).columns == ident.columns
 
 
