@@ -47,7 +47,7 @@ class EndoMatrix:
         for i, col in enumerate(self.columns):
             if col.group != self.group:
                 raise ValueError("column element belongs to a different group")
-            if any(d[i] * r % d[k] for k, r in col.nonzero_residues):
+            if any(d[i] * r % dk for r, dk in zip(col.residues, d)):
                 raise InvalidEndomorphism(
                     i, f"column {i} image {col} has order not dividing {d[i]}"
                 )

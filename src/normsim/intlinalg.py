@@ -29,18 +29,17 @@ class DiophantineSolution:
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    """Return (g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g; s is
+    the extended Euclid's, and t follows from it."""
     old_r, r = a, b
     old_s, s = 1, 0
-    old_t, t = 0, 1
     while r != 0:
         q = old_r // r
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
     if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+        old_r, old_s = -old_r, -old_s
+    return old_r, old_s, (old_r - old_s * a) // b if b else 0
 
 
 def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
