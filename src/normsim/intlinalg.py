@@ -6,9 +6,9 @@ N for any number of right-hand sides, by a Howell elimination over Z_N
 that keeps every entry in [0, N). `solve_diophantine` takes a system
 exactly over the integers, where the solution set is particular +
 Z-span(kernel). `howell_eliminate` runs the elimination, over labels
-too, and leaves its echelon unreduced, which `solve_mod` never needs;
-`howell_reduce` reduces it for `howell_form` and readout, the callers
-that read the canonical form. Over Z_2 rows are held as ints.
+too, and leaves its echelon unreduced: `solve_mod` needs no reduction,
+and `howell_reduce` reduces it for `howell_form` and readout, the
+callers that read the canonical form. Over Z_2 rows are held as ints.
 """
 
 from __future__ import annotations
