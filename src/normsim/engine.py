@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from operator import floordiv, mod, mul
+from functools import cached_property, reduce
+from itertools import accumulate, compress, repeat
+from operator import floordiv, getitem, mod, mul, xor
+from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import (
@@ -33,7 +34,6 @@ from .groups import (
     AbelianGroup,
     GroupElement,
     GroupMismatchError,
-    PhaseExponent,
     character_exponent,
     check_size,
 )
@@ -43,20 +43,19 @@ from .homs import (
     Subgroup,
     auto_inverse,
     endo_dual,
+    inverse_dual,
     orthogonal_subgroup,
     solve_character_system,
 )
-# kernel_basis, pauli_dagger, pauli_identity, pauli_mul, pauli_pow,
-# extract_endo and quad_eval have no caller here; perfbench's tracer
-# wraps them in this namespace, so they stay bound
+# auto_inverse, endo_dual, kernel_basis, pauli_dagger, pauli_identity,
+# pauli_mul, pauli_pow, extract_endo and quad_eval have no caller here;
+# perfbench's tracer wraps them in this namespace, so they stay bound
 from .intlinalg import _DIGIT, _PARITY, howell_eliminate, howell_reduce, kernel_basis
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
 
-# consecutive Howell rows whose radices multiply to at most this share
-# one precomputed table of their sums in the sampler
-_TABLE_SIZE = 256
+_TABLE_SIZE = 256  # entries in one sampler table, and a coset held whole
 
 
 class EngineError(RuntimeError):
@@ -181,13 +180,10 @@ class Tableau:
     def labels(self) -> tuple[PauliLabel, ...]:
         if self.framed:
             self._flush_frame()
-        # every gate keeps the columns reduced, so the rows need no check
-        g, element = self.group, GroupElement._reduced
+        # every gate keeps columns and phases reduced, so rows need no check
+        g, element, label = self.group, GroupElement._reduced, PauliLabel._reduced
         rows = zip(self.phase, zip(*self.z), zip(*self.x))
-        return tuple(
-            PauliLabel(PhaseExponent(g, a), element(g, z), element(g, x))
-            for a, z, x in rows
-        )
+        return tuple(label(a, element(g, z), element(g, x)) for a, z, x in rows)
 
 
 class _Z2Tableau(Tableau):
@@ -260,17 +256,11 @@ class _Z2Tableau(Tableau):
         self.p1 ^= parity
         self.fz = self.fx = 0
         g, R, element = self.group, len(self.a), GroupElement._reduced
-        U = g.order // 2
+        U, L, label = g.order // 2, g.phase_modulus, PauliLabel._reduced
         rows = zip(self.a, _bit_rows((self.p0, self.p1), R),
                    _bit_rows(self.z, R), _bit_rows(self.x, R))
-        return tuple(
-            PauliLabel(
-                PhaseExponent(g, a + U * (k[0] + 2 * k[1])),
-                element(g, tuple(z)),
-                element(g, tuple(x)),
-            )
-            for a, k, z, x in rows
-        )
+        return tuple(label((a + U * (k[0] + 2 * k[1])) % L, element(g, tuple(z)),
+                           element(g, tuple(x))) for a, k, z, x in rows)
 
 
 def _bit_columns(rows: list[tuple[int, ...]], m: int) -> list[int]:
@@ -362,10 +352,10 @@ class AutomorphismGate:
     matrix: EndoMatrix
 
     def __post_init__(self):
-        inv = auto_inverse(self.matrix)
-        if inv is None:
+        z_action = inverse_dual(self.matrix)
+        if z_action is None:
             raise NotInvertible("matrix has no inverse over the group")
-        object.__setattr__(self, "_z_action", endo_dual(inv))
+        object.__setattr__(self, "_z_action", z_action)
 
     @property
     def group(self) -> AbelianGroup:
@@ -439,11 +429,10 @@ def init_stabilizer(coset: CosetInput) -> StabilizerSet:
     the orthogonal complement; the shift enters by conjugating the
     unshifted stabilizer with X(x).
     """
-    group, zero, shift = coset.group, coset.group.zero(), -coset.shift
-    labels = [PauliLabel(PhaseExponent(group, 0), zero, u) for u in coset.generators]
+    zero, shift, label = coset.group.zero(), -coset.shift, PauliLabel._reduced
+    labels = [label(0, zero, u) for u in coset.generators]
     for v in orthogonal_subgroup(coset.subgroup).generators:
-        a = character_exponent(v, shift)
-        labels.append(PauliLabel(PhaseExponent(group, a), v, zero))
+        labels.append(label(character_exponent(v, shift), v, zero))
     return tuple(labels)
 
 
@@ -463,10 +452,10 @@ class OutputDistribution:
 
     `output_distribution` returns the canonical form: the support's
     generators are its Howell basis and the offset is reduced against
-    them, and `canonical` holds that pair from the start. A distribution
-    built from any other generators and offset derives `canonical` on
-    first use. Sampling, `members` and `normsim support` go through
-    `canonical`, so they depend on the coset alone.
+    them, and `canonical` holds that pair from the start; other
+    generators and offsets derive it on first use. Sampling, `members`
+    and `normsim support` go through it, so they depend on the coset
+    alone, and the first two through one decode built once per coset.
     """
 
     group: AbelianGroup
@@ -498,68 +487,96 @@ class OutputDistribution:
         return basis.reduce(self.offset), basis
 
     @cached_property
-    def _packed(self) -> tuple[int, int, list, Callable[[int], tuple[int, ...]]]:
-        """(|S|, x0, steps, split) with residue j packed in field j.
+    def _packed(self) -> tuple[int, Callable[[int], tuple[int, ...]]]:
+        """(|S|, decode), decode(r) = x0 + sum_i c_i row_i mod d as residues
+        for r = c_1 + n_1 (c_2 + n_2 (...)) < |S|, n_i the radices.
 
-        A step (n, table, h) takes the next mixed-radix digit t < n and
-        adds table[t], the precomputed sum over a run of consecutive rows
-        with radix product n <= _TABLE_SIZE, or t*h for one wider row. A
-        field holds x0_j + sum_i (n_i - 1) row_ij, so no shot's sum
-        carries across fields; split reads the residues back out, byte
-        by byte when every field fits in one, through one translate when
-        the moduli are also equal.
+        Over lcm 2 and m > 128, c is r's bits and rows are ints with a bit per
+        factor: byte k of r indexes the XORs of rows 8k..8k+7, as Stim packs
+        rows (arXiv:2103.02202). Otherwise residue j is field j of an int, and
+        each digit adds its step's entry: with moduli up to 128 a byte,
+        entries reduced mod d and the sum folded before `period` more could
+        pass 255; else wide enough for the unreduced sum, unpacked in one
+        call up to 64 bits. A coset of at most 256 elements is one list.
         """
         x0, basis = self.canonical
-        d = self.group.moduli
-        rows, radices = [h.residues for h in basis.rows], basis.radices
-        top = [o + sum((n - 1) * h[j] for n, h in zip(radices, rows))
-               for j, o in enumerate(x0.residues)]
-        w = max(8, max(top).bit_length())
-        shifts = range(0, w * len(d), w)
+        d, m, radices = self.group.moduli, self.group.num_factors, basis.radices
+        rows = [x0.residues, *(h.residues for h in basis.rows)]
+        if max(d) <= 2 and m > 128:
+            bits = [int(bytes(v).translate(_PARITY), 2) for v in rows]
+            tables = [t for _, t in _steps(bits, radices, xor)]
 
-        def pack(v):
-            return sum(r << s for r, s in zip(v, shifts))
-
-        if w == 8 and len(set(d)) == 1:
-            def split(acc, table=bytes(b % d[0] for b in range(256))):
-                return tuple(acc.to_bytes(len(d), "little").translate(table))
-        elif w == 8:
-            def split(acc):
-                return tuple(map(mod, acc.to_bytes(len(d), "little"), d))
+            def decode(r, width=len(tables), fmt=f"0{m}b"):
+                acc = reduce(xor, map(getitem, tables, r.to_bytes(width, "little")))
+                return tuple(format(acc, fmt).encode().translate(_DIGIT))
         else:
-            def split(acc, mask=(1 << w) - 1):
-                return tuple([(acc >> s & mask) % dj for s, dj in zip(shifts, d)])
+            if max(d) <= 128:
+                w, period = 8, 255 // (max(d) - 1 or 1) - 1
+                mod_d = len(set(d)) == 1 and bytes(b % d[0] for b in range(256))
 
-        steps: list[tuple[int, list[int] | None, int]] = []
-        for h, n in zip(map(pack, rows), radices):
-            if steps and steps[-1][0] * n <= _TABLE_SIZE:
-                # the run's index goes on as t + k*c, the first row lowest
-                k, table, _ = steps.pop()
-                steps.append((k * n, [v + c * h for c in range(n) for v in table], 0))
-            elif n <= _TABLE_SIZE:
-                steps.append((n, [c * h for c in range(n)], 0))
+                def split(acc):
+                    v = acc.to_bytes(m, "little")
+                    return v.translate(mod_d) if mod_d else bytes(map(mod, v, d))
+
+                def fold(acc):
+                    return int.from_bytes(split(acc), "little")
             else:
-                steps.append((n, None, h))
-        return basis.order, pack(x0.residues), steps, split
+                top = max(sum((n - 1) * h[j] for n, h in zip((2, *radices), rows))
+                          for j in range(m))
+                w = max(16, 1 << (top.bit_length() - 1).bit_length())
+                period, fold = len(rows), None
+                unpack = w <= 64 and Struct(f"<{m}{'HIQ'[w.bit_length() - 5]}").unpack
 
-    def _decode(self, r: int) -> GroupElement:
-        """x0 + sum_i c_i row_i for r = c_1 + n_1 (c_2 + n_2 (...)) < |S|."""
-        _, acc, steps, split = self._packed
-        for n, table, h in steps:
-            r, t = divmod(r, n)
-            acc += table[t] if table is not None else t * h
-        return GroupElement._reduced(self.group, split(acc))
+                def split(acc, mask=(1 << w) - 1, shifts=range(0, w * m, w)):
+                    if unpack:
+                        return map(mod, unpack(acc.to_bytes(m * w // 8, "little")), d)
+                    return [(acc >> s & mask) % dj for s, dj in zip(shifts, d)]
+
+            packed = [int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in v),
+                                     "little") for v in rows]
+            steps = _steps(packed, radices, lambda a, b: fold(a + b) if fold else a + b)
+            chunks = [steps[i:i + period] for i in range(0, len(steps), period)]
+
+            def decode(r):
+                acc = 0
+                for chunk in chunks:
+                    if acc:
+                        acc = fold(acc)
+                    for n, table in chunk:
+                        r, t = divmod(r, n)
+                        acc += table[t]
+                return tuple(split(acc))
+        if basis.order <= _TABLE_SIZE:
+            decode = list(map(decode, range(basis.order))).__getitem__
+        return basis.order, decode
 
     def members(self, bound: int = ENUM_BOUND) -> frozenset[GroupElement]:
         """The coset, as the decode of every r < |S|; BoundExceeded above bound."""
-        size = self._packed[0]
+        size, decode = self._packed
         check_size(size, bound, "support")
-        return frozenset(map(self._decode, range(size)))
+        element, group = GroupElement._reduced, repeat(self.group)
+        return frozenset(map(element, group, map(decode, range(size))))
 
     def sample(self, rng: random.Random) -> GroupElement:
         # one randrange(|S|) per shot, exact rejection sampling in the
         # stdlib; the decode is a bijection onto the coset
-        return self._decode(rng.randrange(self._packed[0]))
+        size, decode = self._packed
+        return GroupElement._reduced(self.group, decode(rng.randrange(size)))
+
+
+def _steps(rows: list[int], radices: Sequence[int], combine) -> list[tuple]:
+    """[(n, table)] over packed rows, rows[0] the offset: a run of rows with
+    radix product n <= 256 (the first from the offset) has table[t] = the
+    combine of c_i row_i for its digit t; a wider row's table[t] = t*row."""
+    steps: list[tuple] = [(1, [rows[0]])]
+    for h, n in zip(rows[1:], radices):
+        if n > _TABLE_SIZE:
+            steps.append((n, range(0, n * h, h)))
+            continue
+        k, table = steps.pop() if steps[-1][0] * n <= _TABLE_SIZE else (1, [0])
+        multiples = accumulate(repeat(h, n - 1), combine, initial=0)
+        steps.append((k * n, [combine(v, c) for c in multiples for v in table]))
+    return steps
 
 
 def output_distribution(labels: StabilizerSet) -> OutputDistribution:
@@ -625,7 +642,8 @@ def sample_stream(
     the stream is a function of the coset and the seed alone: any
     generators and offset of the same coset give the same shots. Streams
     moved once, in 0.2.0, from one draw per support generator to this.
+    Maps chain the draw, the coset's decode and the element constructor.
     """
-    rng = random.Random(seed)
-    for _ in range(shots):
-        yield dist.sample(rng)
+    size, decode = dist._packed
+    draws = map(random.Random(seed).randrange, repeat(size, shots))
+    return map(GroupElement._reduced, repeat(dist.group), map(decode, draws))

@@ -127,9 +127,10 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of an AbelianGroup, stored as reduced residues; the
-    public constructor checks them, for input from outside the program."""
+    """An element of an AbelianGroup, stored in slots as reduced residues;
+    the public constructor checks them, for input from outside the program."""
 
+    __slots__ = ("group", "residues", "_nonzero")
     group: AbelianGroup
     residues: tuple[int, ...]
 
@@ -148,13 +149,13 @@ class GroupElement:
         """An element from a tuple already reduced against group.moduli,
         built without the range check; only in-package producers whose
         residues are reduced by construction call it."""
-        # object.__setattr__ keeps the instance's compact attribute
-        # layout; writing to element.__dict__ would build a full dict,
-        # about twice the memory per element
         element = object.__new__(cls)
-        object.__setattr__(element, "group", group)
-        object.__setattr__(element, "residues", residues)
+        _set_group(element, group)
+        _set_residues(element, residues)
         return element
+
+    def __reduce__(self):
+        return GroupElement, (self.group, self.residues)
 
     def _require_same_group(self, other: GroupElement):
         if self.group != other.group:
@@ -195,24 +196,31 @@ class GroupElement:
             tuple((n * a) % d for a, d in zip(self.residues, self.group.moduli)),
         )
 
-    @cached_property
+    @property
     def nonzero_residues(self) -> tuple[tuple[int, int], ...]:
-        """(i, r_i) for each nonzero residue, for loops that skip zeros."""
-        return tuple((i, r) for i, r in enumerate(self.residues) if r)
+        """(i, r_i) for each nonzero residue, kept in a slot from first use."""
+        if not hasattr(self, "_nonzero"):
+            _set_nonzero(self, tuple((i, r) for i, r in enumerate(self.residues) if r))
+        return self._nonzero
 
     @property
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.residues)
 
     def __str__(self):
-        # the one formatting path for shots, "(r_1,...,r_m)"; with every
-        # modulus at most 10 the residues are written as single bytes
+        # the one formatting path for shots, "(r_1,...,r_m)": five or more
+        # single-digit residues go as bytes into a template, others by repr
         template = self.group._digit_template
-        if template is None:
-            return "(" + ",".join(map(str, self.residues)) + ")"
+        if template is None or len(template) < 10:
+            return repr(self.residues).replace(" ", "").replace(",)", ")")
         line = bytearray(template)
-        line[1::2] = bytes(self.residues).translate(_DIGITS)
-        return line.decode()
+        line[1::2] = bytearray(self.residues)
+        return line.translate(_DIGITS).decode()
+
+
+# the slots' own setters, which a frozen instance's __setattr__ refuses
+_set_group, _set_residues = GroupElement.group.__set__, GroupElement.residues.__set__
+_set_nonzero = GroupElement._nonzero.__set__
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class EndoMatrix:
         if len(self.columns) != len(d):
             raise ValueError(f"expected {len(d)} columns, got {len(self.columns)}")
         for i, col in enumerate(self.columns):
-            if col.group != self.group:
+            if col.group is not self.group and col.group != self.group:
                 raise ValueError("column element belongs to a different group")
             if any(d[i] * r % dk for r, dk in zip(col.residues, d)):
                 raise InvalidEndomorphism(
@@ -103,49 +103,42 @@ def endo_dual(A: EndoMatrix) -> EndoMatrix:
     return EndoMatrix(group, tuple(cols))
 
 
-def auto_inverse(A: EndoMatrix) -> EndoMatrix | None:
-    """Matrix of the inverse automorphism, or None when A is not invertible.
+def inverse_dual(A: EndoMatrix) -> EndoMatrix | None:
+    """endo_dual of A's inverse, which conjugation applies to Z parts, or
+    None when A is not invertible.
 
-    Row k of the inverse B lives in Z_{d_k}. With N = lcm(d) and
-    s_j = N/d_j, x -> sum_j s_j u_j x_j for u in Z_N^m runs over the
-    homomorphisms G -> Z_N, and row k of B is the one with s_j u_j =
-    s_k B_kj, so B A = I on e^i is a congruence on u over m columns:
-
-        sum_j u_j s_j A_ji = s_k delta_ki  (mod N),  u (S A) = s_k e_k,
-
-    S = diag(s). Such a B is a homomorphism, as d_j s_j u_j = N u_j.
-    Composing with A is a bijection of the finite group Hom(G, Z_N)
-    exactly when A is one of G, and the targets generate Hom(G, Z_N); so
-    A is invertible exactly when every target is solved, and then every
-    kernel vector u has s_j u_j = 0 mod N, s_j u_j is unique and B_kj =
-    s_j u_j / s_k. One solve_mod answers it all; B A = I is checked exactly.
+    With N = lcm(d), s_j = N/d_j and S = diag(s), u (S A) for u in Z_N^m
+    runs over Hom(G, Z_N) composed with A, a bijection exactly when A is
+    one; the s_k e_k generate Hom(G, Z_N), so A is invertible exactly when
+    one solve_mod solves u^(k) (S A) = s_k e_k mod N for every k. Column k
+    of the dual D is u^(k) mod d, as d_l s_l = N; the exact check below
+    is dual(A) D = I, and EndoMatrix checks that D is a homomorphism.
     """
     group = A.group
     d = group.moduli
-    m = group.num_factors
     N = math.lcm(*d)
     s = [N // dj for dj in d]
     rows = [[sj * v for sj, v in zip(s, c.residues)] for c in A.columns]
-    targets = [[sk * (i == k) for i in range(m)] for k, sk in enumerate(s)]
+    targets = [[sk * (i == k) for i in range(len(d))] for k, sk in enumerate(s)]
     us, _ = solve_mod(rows, targets, N)
     if None in us:
         return None  # composing with A misses s_k e_k, so it is no bijection
-    inv_rows = []
-    for k, (sk, u) in enumerate(zip(s, us)):
-        y = [sj * v % N for sj, v in zip(s, u)]
-        if any(x % sk for x in y):
-            raise ArithmeticError(f"row {k} of the inverse is not a multiple of {sk}")
-        inv_rows.append([x // sk for x in y])
-    # exact check: B A = I column by column, mod d_k; EndoMatrix checks
-    # that B is a homomorphism
-    columns = list(zip(*inv_rows))
+    u_cols = list(zip(*us))
     for i, col in enumerate(A.columns):
-        acc = [-(k == i) for k in range(m)]
+        acc = [-t for t in targets[i]]
         for j, v in col.nonzero_residues:
-            acc = [a + v * b for a, b in zip(acc, columns[j])]
-        if any(a % dk for a, dk in zip(acc, d)):
-            raise ArithmeticError(f"column {i} of B A is not e^{i}")
-    return EndoMatrix(group, tuple(GroupElement._reduced(group, c) for c in columns))
+            acc = [a + s[j] * v * b for a, b in zip(acc, u_cols[j])]
+        if any(a % N for a in acc):
+            raise ArithmeticError(f"column {i} of U (S A) is not s_{i} e_{i}")
+    return EndoMatrix(group, tuple(map(group.element, us)))
+
+
+def auto_inverse(A: EndoMatrix) -> EndoMatrix | None:
+    """Matrix of the inverse automorphism, or None when A is not invertible:
+    the dual of inverse_dual(A), since endo_dual is an involution that
+    reverses products, so dual(A) D = I gives dual(D) A = I."""
+    dual = inverse_dual(A)
+    return None if dual is None else endo_dual(dual)
 
 
 @dataclass(frozen=True)

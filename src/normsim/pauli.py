@@ -30,6 +30,15 @@ class PauliLabel:
         if not (self.phase.group == self.z_part.group == self.x_part.group):
             raise ValueError("label components over different groups")
 
+    @classmethod
+    def _reduced(cls, a: int, z_part: GroupElement, x_part: GroupElement) -> PauliLabel:
+        """gamma^a Z(z) X(x) from parts over one group and a reduced mod
+        2|G|, built without the checks; only in-package producers call it."""
+        label, phase = object.__new__(cls), object.__new__(PhaseExponent)
+        phase.__dict__.update(group=z_part.group, value=a)
+        label.__dict__.update(phase=phase, z_part=z_part, x_part=x_part)
+        return label
+
     @property
     def group(self) -> AbelianGroup:
         return self.z_part.group

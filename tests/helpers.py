@@ -6,7 +6,8 @@ one label at a time as the reference for the engine's tableau, read
 out through PauliLabel arithmetic and a slack-column congruence solver
 of their own as the reference for the engine's plain-int readout and
 its mod-N solves, decode a draw with GroupElement arithmetic as the
-reference for the packed sampler, enumerate a span by search, or store
+reference for the packed sampler, build wide supports in echelon shape
+without an elimination, enumerate a span by search, or store
 quadratic functions by their dense exponent lists as the reference for
 the package's terms-only encoding.
 """
@@ -33,7 +34,7 @@ from normsim.groups import (
     character_exponent,
     check_bound,
 )
-from normsim.homs import EndoMatrix, Subgroup
+from normsim.homs import EndoMatrix, HowellBasis, Subgroup
 from normsim.pauli import PauliLabel, pauli_identity, pauli_mul, pauli_pow
 from normsim.quadratic import (
     InvalidQuadratic,
@@ -309,6 +310,24 @@ def reference_sample(dist: OutputDistribution, rng) -> GroupElement:
         r, c = divmod(r, n)
         offset = offset + c * h
     return offset
+
+
+def echelon_coset(rng, moduli, n_rows: int, pivot=None) -> OutputDistribution:
+    """x0 + <rows> over n_rows rows in echelon shape, built directly, with
+    no Howell form: pivot columns rise, and each row is zero before its
+    pivot, holds there pivot(rng, d), a divisor p < d of that column's
+    modulus (by default a random one), and random residues after it. The
+    sampler decodes over any such rows, so wide supports cost no
+    elimination."""
+    pivot = pivot or (lambda rng, d: math.gcd(d, rng.randrange(1, min(d, 1000))))
+    group = AbelianGroup(tuple(moduli))
+    rows = []
+    pivots = sorted(rng.sample(range(len(moduli)), n_rows))
+    for c in pivots:
+        tail = [rng.randrange(d) for d in moduli[c + 1:]]
+        rows.append(group.element([0] * c + [pivot(rng, moduli[c])] + tail))
+    x0 = group.element([rng.randrange(d) for d in moduli])
+    return OutputDistribution.from_canonical(x0, HowellBasis(group, tuple(rows), tuple(pivots)))
 
 
 def span_closure(moduli, gens) -> set[tuple[int, ...]]:

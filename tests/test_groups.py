@@ -1,7 +1,9 @@
 """Group arithmetic, characters, and phase exponents."""
 
 import cmath
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -122,6 +124,18 @@ def test_trusted_elements_equal_checked_ones():
             GroupElement(g, residues + (0,))
         with pytest.raises(ValueError, match="out of range"):
             GroupElement(g, residues[:-1] + (g.moduli[-1],))
+
+
+def test_elements_are_slotted_and_survive_pickle_and_copy():
+    g = AbelianGroup((4, 6, 9))
+    e = GroupElement._reduced(g, (0, 5, 3))
+    assert not hasattr(e, "__dict__")
+    assert e.nonzero_residues == ((1, 5), (2, 3))
+    assert e.nonzero_residues is e.nonzero_residues  # filled once
+    for other in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert other == e and hash(other) == hash(e) and str(other) == "(0,5,3)"
+    with pytest.raises(AttributeError):
+        e.residues = (1, 1, 1)
 
 
 def test_element_group_mismatch():

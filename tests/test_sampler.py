@@ -2,8 +2,9 @@
 
 `OutputDistribution.canonical` is the Howell basis of the support plus
 the offset reduced against it; `sample` makes one randrange(|S|) per
-shot and decodes it in mixed radix over those rows. The decode must
-reach every coset element exactly once, the stream must depend on the
+shot and decodes it in mixed radix over those rows. Every decode the
+moduli choose must equal its definition, and reach every coset element
+exactly once; the stream must depend on the
 coset and the seed alone, a shot must be exactly one draw, the
 canonical form must tell cosets apart exactly as the benchmark's HNF
 form does, and enumeration must be bounded by the coset, not the group.
@@ -12,6 +13,7 @@ form does, and enumeration must be bounded by the coset, not the group.
 import contextlib
 import importlib.util
 import io
+import math
 import random
 import sys
 import tempfile
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import span_closure
+from helpers import echelon_coset, span_closure
 from normsim.cli import main
 from normsim.engine import (
     CosetInput,
@@ -138,6 +140,68 @@ def test_decode_is_a_bijection_with_byte_fields(moduli, n_gens):
         members = dist.members()
         assert len(members) == basis.order
         assert {g.residues for g in members} == coset_of(dist)
+
+
+def defined_decode(dist, r):
+    """x0 + sum_i c_i row_i mod d, c the mixed-radix digits of r over the
+    radices, the first row lowest: the decode's definition."""
+    x0, basis = dist.canonical
+    acc = list(x0.residues)
+    for h, n in zip(basis.rows, basis.radices):
+        r, c = divmod(r, n)
+        if c:
+            acc = [a + c * v for a, v in zip(acc, h.residues)]
+    return tuple(a % d for a, d in zip(acc, dist.group.moduli))
+
+
+def unit(rng, d):
+    return 1
+
+
+def radix_2_or_3(rng, d):
+    return d // next(q for q in (2, 3, d) if d % q == 0)
+
+
+# (moduli, support rows, pivot residues): lcm 2 up to m = 1024, in byte
+# fields up to 128 factors and in bits above; the factors of order 1 that
+# the package tolerates internally; equal
+# moduli with so many radix-d rows that even reduced table entries pass
+# 255 in a byte before the end; mixed moduli within a byte, up to 128;
+# moduli past a byte in fields of 16 and 64 bits, and with radices past
+# a table, 2^40 and 10^9+7, in fields past 64 bits
+DECODE_CASES = {
+    "2^8": ((2,) * 8, 5, None),
+    "2^40": ((2,) * 40, 30, None),
+    "2^1024": ((2,) * 1024, 1022, None),
+    "3^700": ((3,) * 700, 660, unit),
+    "5^250": ((5,) * 250, 220, unit),
+    "7^120": ((7,) * 120, 100, unit),
+    "9^90": ((9,) * 90, 80, unit),
+    "9^60": ((9,) * 60, 50, None),
+    "mixed-byte": ((2, 3, 4, 6, 9, 12, 16, 27, 125, 128) * 6, 40, None),
+    "mixed-small": ((2, 3, 5, 7), 3, None),
+    "ones": ((1, 1, 1), 0, None),
+    "wide-16": ((200, 129, 6, 12) * 4, 10, radix_2_or_3),
+    "wide-64": ((2**40, 12, 200, 6) * 6, 16, radix_2_or_3),
+    "wide-128": ((2**40, 10**9 + 7, 9, 2) * 6, 16, unit),
+}
+
+
+@pytest.mark.parametrize("case", DECODE_CASES, ids=str)
+def test_every_decode_is_its_definition(case):
+    moduli, n_rows, pivot = DECODE_CASES[case]
+    rng = random.Random(f"decode:{case}")
+    if pivot is unit and len(set(moduli)) == 1:
+        # more radix-d rows than a byte holds at d - 1 per table
+        d = moduli[0]
+        assert (d - 1) * n_rows // int(math.log(256, d)) > 255
+    for _ in range(1 if n_rows > 200 else 3):
+        dist = echelon_coset(rng, moduli, n_rows, pivot)
+        size = dist.canonical[1].order
+        draws = [0, size - 1] + [rng.randrange(size) for _ in range(4)]
+        replay = Replay(draws)
+        shots = [dist.sample(replay).residues for _ in draws]
+        assert shots == [defined_decode(dist, r) for r in draws]
 
 
 def test_shots_build_no_checked_elements(monkeypatch):

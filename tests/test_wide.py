@@ -1,4 +1,5 @@
-"""Wide groups: init, readout and the CLI on 32-512 factors, in bounded time.
+"""Wide groups: init, readout, sampling and the CLI on 32-1024 factors,
+in bounded time.
 
 The congruence systems of init and readout once ran mod |G| with
 unreduced entries, which is 2^128 on Z_2^128 and about 10^60 on 64
@@ -15,6 +16,7 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import echelon_coset
 from normsim.cli import main
 from normsim.engine import (
     CosetInput,
@@ -24,6 +26,7 @@ from normsim.engine import (
     conjugate_circuit,
     init_stabilizer,
     output_distribution,
+    sample_stream,
 )
 from normsim.groups import AbelianGroup, GroupElement, PhaseExponent, character_exponent
 from normsim.homs import Subgroup, orthogonal_subgroup, solve_character_system
@@ -154,6 +157,17 @@ def test_orthogonal_subgroup_and_character_system_on_z2_512():
     assert x is not None
     for h, s in zip(H.generators, phases):
         assert character_exponent(x, h) == 2 * s
+
+
+def test_2000_shots_with_str_on_z2_1024_with_1022_support_rows():
+    """The bit-packed decode, one XOR per 8 rows from tables indexed by
+    the draw's bytes: about 0.1 s with its tables on a 2-core box, where
+    11-bit fields split by shift and mask took 0.76-0.82 s."""
+    dist = echelon_coset(random.Random(3), (2,) * 1024, 1022)
+    start = time.perf_counter()
+    lines = [str(shot) for shot in sample_stream(dist, 2000, 7)]
+    assert time.perf_counter() - start < 0.3
+    assert len(set(lines)) == 2000 and all(len(s) == 2049 for s in lines)
 
 
 def test_support_on_32_mixed_factors_exits_0(tmp_path, capsys):
