@@ -24,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
-from operator import floordiv, getitem, mod, mul, xor
+from itertools import accumulate, compress, cycle, repeat
+from operator import add, floordiv, getitem, mod, mul, xor
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -34,7 +34,6 @@ from .groups import (
     AbelianGroup,
     GroupElement,
     GroupMismatchError,
-    character_exponent,
     check_size,
 )
 from .homs import (
@@ -427,12 +426,16 @@ def init_stabilizer(coset: CosetInput) -> StabilizerSet:
 
     X(u) for generators u of K and chi_v(-x) Z(v) for generators v of
     the orthogonal complement; the shift enters by conjugating the
-    unshifted stabilizer with X(x).
+    unshifted stabilizer with X(x). chi_v(-x) = gamma^a with
+    a = sum_i (2|G|/d_i) v_i (-x_i) mod 2|G|, whose weights
+    (2|G|/d_i)(-x_i) are the same for every v.
     """
-    zero, shift, label = coset.group.zero(), -coset.shift, PauliLabel._reduced
+    group, label = coset.group, PauliLabel._reduced
+    zero, L = group.zero(), group.phase_modulus
+    weights = [L // d * s for d, s in zip(group.moduli, (-coset.shift).residues)]
     labels = [label(0, zero, u) for u in coset.generators]
     for v in orthogonal_subgroup(coset.subgroup).generators:
-        labels.append(label(character_exponent(v, shift), v, zero))
+        labels.append(label(sum(map(mul, weights, v.residues)) % L, v, zero))
     return tuple(labels)
 
 
@@ -487,9 +490,9 @@ class OutputDistribution:
         return basis.reduce(self.offset), basis
 
     @cached_property
-    def _packed(self) -> tuple[int, Callable[[int], tuple[int, ...]]]:
-        """(|S|, decode), decode(r) = x0 + sum_i c_i row_i mod d as residues
-        for r = c_1 + n_1 (c_2 + n_2 (...)) < |S|, n_i the radices.
+    def _packed(self) -> tuple[int, Callable[[int], tuple], list[GroupElement] | None]:
+        """(|S|, decode, shared), decode(r) = x0 + sum_i c_i row_i mod d as
+        residues for r = c_1 + n_1 (c_2 + n_2 (...)) < |S|, n_i the radices.
 
         Over lcm 2 and m > 128, c is r's bits and rows are ints with a bit per
         factor: byte k of r indexes the XORs of rows 8k..8k+7, as Stim packs
@@ -497,7 +500,10 @@ class OutputDistribution:
         each digit adds its step's entry: with moduli up to 128 a byte,
         entries reduced mod d and the sum folded before `period` more could
         pass 255; else wide enough for the unreduced sum, unpacked in one
-        call up to 64 bits. A coset of at most 256 elements is one list.
+        call up to 64 bits. A coset of at most 256 elements is also built
+        whole, once: shared[r] is the element of decode(r), its `str`
+        formatted ahead, and every shot and member of the coset is one of
+        these; wider cosets have shared None.
         """
         x0, basis = self.canonical
         d, m, radices = self.group.moduli, self.group.num_factors, basis.radices
@@ -511,7 +517,7 @@ class OutputDistribution:
                 return tuple(format(acc, fmt).encode().translate(_DIGIT))
         else:
             if max(d) <= 128:
-                w, period = 8, 255 // (max(d) - 1 or 1) - 1
+                period = 255 // (max(d) - 1 or 1) - 1
                 mod_d = len(set(d)) == 1 and bytes(b % d[0] for b in range(256))
 
                 def split(acc):
@@ -520,6 +526,13 @@ class OutputDistribution:
 
                 def fold(acc):
                     return int.from_bytes(split(acc), "little")
+
+                def reduced(block):  # each byte of m-byte entries mod its modulus
+                    if mod_d:
+                        return block.translate(mod_d)
+                    return bytes(map(mod, block, cycle(d)))
+
+                steps = _byte_steps([bytes(v) for v in rows], radices, reduced, max(d) - 1)
             else:
                 top = max(sum((n - 1) * h[j] for n, h in zip((2, *radices), rows))
                           for j in range(m))
@@ -532,9 +545,11 @@ class OutputDistribution:
                         return map(mod, unpack(acc.to_bytes(m * w // 8, "little")), d)
                     return [(acc >> s & mask) % dj for s, dj in zip(shifts, d)]
 
-            packed = [int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in v),
-                                     "little") for v in rows]
-            steps = _steps(packed, radices, lambda a, b: fold(a + b) if fold else a + b)
+                packed = [
+                    int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in v), "little")
+                    for v in rows
+                ]
+                steps = _steps(packed, radices, add)
             chunks = [steps[i:i + period] for i in range(0, len(steps), period)]
 
             def decode(r):
@@ -546,22 +561,30 @@ class OutputDistribution:
                         r, t = divmod(r, n)
                         acc += table[t]
                 return tuple(split(acc))
+        shared = None
         if basis.order <= _TABLE_SIZE:
-            decode = list(map(decode, range(basis.order))).__getitem__
-        return basis.order, decode
+            element, group = GroupElement._formatted, repeat(self.group)
+            shared = list(map(element, group, map(decode, range(basis.order))))
+        return basis.order, decode, shared
 
     def members(self, bound: int = ENUM_BOUND) -> frozenset[GroupElement]:
-        """The coset, as the decode of every r < |S|; BoundExceeded above bound."""
-        size, decode = self._packed
+        """The coset, as the decode of every r < |S|, and for a coset of at
+        most 256 elements its shared elements; BoundExceeded above bound."""
+        size, decode, shared = self._packed
         check_size(size, bound, "support")
+        if shared is not None:
+            return frozenset(shared)
         element, group = GroupElement._reduced, repeat(self.group)
         return frozenset(map(element, group, map(decode, range(size))))
 
     def sample(self, rng: random.Random) -> GroupElement:
         # one randrange(|S|) per shot, exact rejection sampling in the
         # stdlib; the decode is a bijection onto the coset
-        size, decode = self._packed
-        return GroupElement._reduced(self.group, decode(rng.randrange(size)))
+        size, decode, shared = self._packed
+        r = rng.randrange(size)
+        if shared is not None:
+            return shared[r]
+        return GroupElement._reduced(self.group, decode(r))
 
 
 def _steps(rows: list[int], radices: Sequence[int], combine) -> list[tuple]:
@@ -576,6 +599,42 @@ def _steps(rows: list[int], radices: Sequence[int], combine) -> list[tuple]:
         k, table = steps.pop() if steps[-1][0] * n <= _TABLE_SIZE else (1, [0])
         multiples = accumulate(repeat(h, n - 1), combine, initial=0)
         steps.append((k * n, [combine(v, c) for c in multiples for v in table]))
+    return steps
+
+
+def _byte_steps(
+    rows: list[bytes], radices: Sequence[int], reduced, top: int
+) -> list[tuple]:
+    """_steps over rows of byte fields, each at most top < 128, with every
+    table entry reduced mod d by `reduced`. A run's table is one bytes object
+    of m-byte entries: the block of entries for digit c + 1 of its newest
+    row is the block for c plus that row, added as one int across the
+    block. A block is reduced, by one `reduced` call over its joined bytes,
+    only once one more row could pass 255 in a field; a table is reduced
+    once more at the end of its run if it holds unreduced sums, and split
+    into ints there."""
+    m = len(rows[0])
+    runs = [(1, rows[0], top)]  # (entries, table, bound on its fields)
+    for h, n in zip(rows[1:], radices):
+        fits = runs[-1][0] * n <= _TABLE_SIZE
+        k, table, bound = runs.pop() if fits else (1, bytes(m), 0)
+        block, step = int.from_bytes(table, "little"), int.from_bytes(h * k, "little")
+        blocks, last = [table], bound
+        for _ in range(n - 1):
+            block, last = block + step, last + top
+            fields = block.to_bytes(k * m, "little")
+            if last + top > 255:
+                fields = reduced(fields)
+                block, last = int.from_bytes(fields, "little"), top
+            blocks.append(fields)
+            bound = max(bound, last)
+        runs.append((k * n, b"".join(blocks), bound))
+    steps = []
+    for n, table, bound in runs:
+        if bound > top:
+            table = reduced(table)
+        entries = [int.from_bytes(table[i:i + m], "little") for i in range(0, n * m, m)]
+        steps.append((n, entries))
     return steps
 
 
@@ -642,8 +701,13 @@ def sample_stream(
     the stream is a function of the coset and the seed alone: any
     generators and offset of the same coset give the same shots. Streams
     moved once, in 0.2.0, from one draw per support generator to this.
-    Maps chain the draw, the coset's decode and the element constructor.
+    A coset of at most 256 elements hands out its shared elements, built
+    and formatted once, so a shot is one draw and one list lookup and its
+    `str` a slot read; over a wider coset maps chain the draw, the decode
+    and the element constructor.
     """
-    size, decode = dist._packed
+    size, decode, shared = dist._packed
     draws = map(random.Random(seed).randrange, repeat(size, shots))
+    if shared is not None:
+        return map(shared.__getitem__, draws)
     return map(GroupElement._reduced, repeat(dist.group), map(decode, draws))

@@ -128,9 +128,11 @@ class AbelianGroup:
 @dataclass(frozen=True)
 class GroupElement:
     """An element of an AbelianGroup, stored in slots as reduced residues;
-    the public constructor checks them, for input from outside the program."""
+    the public constructor checks them, for input from outside the program.
+    The `_text` slot holds the element's `str` when it was formatted ahead,
+    for an element handed out many times, and None otherwise."""
 
-    __slots__ = ("group", "residues", "_nonzero")
+    __slots__ = ("group", "residues", "_nonzero", "_text")
     group: AbelianGroup
     residues: tuple[int, ...]
 
@@ -143,6 +145,7 @@ class GroupElement:
         for r, d in zip(self.residues, self.group.moduli):
             if not 0 <= r < d:
                 raise ValueError(f"residue {r} out of range for modulus {d}")
+        _set_text(self, None)
 
     @classmethod
     def _reduced(cls, group: AbelianGroup, residues: tuple[int, ...]) -> GroupElement:
@@ -152,6 +155,15 @@ class GroupElement:
         element = object.__new__(cls)
         _set_group(element, group)
         _set_residues(element, residues)
+        _set_text(element, None)
+        return element
+
+    @classmethod
+    def _formatted(cls, group: AbelianGroup, residues: tuple[int, ...]) -> GroupElement:
+        """A `_reduced` element whose `str` is formatted now and kept, for
+        an element handed out many times, such as a shot of a small coset."""
+        element = cls._reduced(group, residues)
+        _set_text(element, str(element))
         return element
 
     def __reduce__(self):
@@ -208,19 +220,23 @@ class GroupElement:
         return all(r == 0 for r in self.residues)
 
     def __str__(self):
-        # the one formatting path for shots, "(r_1,...,r_m)": five or more
-        # single-digit residues go as bytes into a template, others by repr
+        # the one formatting path for shots, "(r_1,...,r_m)", read from the
+        # slot when formatted ahead: five or more single-digit residues go
+        # as bytes into a template, others by repr
+        text = self._text
+        if text is not None:
+            return text
         template = self.group._digit_template
         if template is None or len(template) < 10:
             return repr(self.residues).replace(" ", "").replace(",)", ")")
         line = bytearray(template)
-        line[1::2] = bytearray(self.residues)
+        line[1::2] = self.residues
         return line.translate(_DIGITS).decode()
 
 
 # the slots' own setters, which a frozen instance's __setattr__ refuses
 _set_group, _set_residues = GroupElement.group.__set__, GroupElement.residues.__set__
-_set_nonzero = GroupElement._nonzero.__set__
+_set_nonzero, _set_text = GroupElement._nonzero.__set__, GroupElement._text.__set__
 
 
 @dataclass(frozen=True)

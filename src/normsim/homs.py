@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import mod, mul
 from typing import Sequence
 
 from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_size
@@ -190,7 +190,8 @@ def orthogonal_subgroup(H: Subgroup) -> Subgroup:
         return Subgroup(group, tuple(group.units()))
     N, rows = _character_rows(group, gens)
     _, kernel = solve_mod(rows, [], N, group.num_factors)
-    perp = (group.element(vec) for vec in kernel)
+    d, element = group.moduli, GroupElement._reduced
+    perp = (element(group, tuple(map(mod, vec, d))) for vec in kernel)
     return Subgroup(group, tuple(g for g in perp if not g.is_zero))
 
 

@@ -136,6 +136,24 @@ def test_elements_are_slotted_and_survive_pickle_and_copy():
         assert other == e and hash(other) == hash(e) and str(other) == "(0,5,3)"
     with pytest.raises(AttributeError):
         e.residues = (1, 1, 1)
+    # an element with its text formatted ahead, over the repr path and over
+    # the digit template of five or more single-digit factors
+    five = AbelianGroup((2, 3, 4, 5, 10))
+    for f, text in ((GroupElement._formatted(g, (0, 5, 3)), "(0,5,3)"),
+                    (GroupElement._formatted(five, (1, 2, 3, 4, 9)), "(1,2,3,4,9)")):
+        fresh = GroupElement._reduced(f.group, f.residues)
+        assert f._text == text and fresh._text is None
+        assert f == fresh and hash(f) == hash(fresh) and str(f) == str(fresh) == text
+        for other in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert other == f and hash(other) == hash(f) and str(other) == text
+        with pytest.raises(AttributeError):
+            f._text = "(0,0,0)"
+        unit = f.group.unit(0)
+        for result in (f + unit, f - unit, -f, 3 * f, f + f):
+            assert str(result) == "(" + ",".join(map(str, result.residues)) + ")"
+    shot = GroupElement._formatted(five, (1, 2, 3, 4, 9))
+    assert str(shot + five.unit(4)) == "(1,2,3,4,0)"
+    assert str(-GroupElement._formatted(g, (0, 5, 3))) == "(0,1,6)"
 
 
 def test_element_group_mismatch():

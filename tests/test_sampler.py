@@ -218,6 +218,59 @@ def test_shots_build_no_checked_elements(monkeypatch):
         assert checked == [] and len(lines) == 1000
 
 
+def old_text(residues):
+    """A shot's text by its rule before shots were shared, "(r_1,...,r_m)"."""
+    return "(" + ",".join(map(str, residues)) + ")"
+
+
+def units_coset(moduli, n_units, offset):
+    """x0 + <e_1, ..., e_n>: the first n_units unit vectors span the support."""
+    group = AbelianGroup(moduli)
+    gens = tuple(group.units()[:n_units])
+    return OutputDistribution(group, group.element(offset), Subgroup(group, gens))
+
+
+# (moduli, unit generators, offset, |S|): single-digit moduli on five or
+# more factors (the digit template), moduli past 10 (the repr), one to
+# four factors, |S| = 1 and |S| = 256, the largest coset held whole
+SHARED_CASES = {
+    "digits-6": ((2, 3, 4, 5, 6, 7), 3, (1, 2, 3, 4, 5, 6), 24),
+    "digits-10": ((10,) * 10, 2, (9,) * 10, 100),
+    "wide-moduli": ((11, 17, 2**40), 2, (10, 16, 2**40 - 1), 187),
+    "one-factor": ((97,), 1, (5,), 97),
+    "four-factors": ((3, 12, 5, 100), 3, (2, 11, 4, 99), 180),
+    "single": ((6, 10, 2**40, 3, 4), 0, (5, 9, 12345, 2, 3), 1),
+    "256": ((2,) * 10, 8, (1,) * 10, 256),
+    "256-mixed": ((16, 16, 3), 2, (15, 15, 2), 256),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_CASES, ids=str)
+def test_small_cosets_hand_out_shared_preformatted_elements(case):
+    moduli, n_units, offset, size = SHARED_CASES[case]
+    dist = units_coset(moduli, n_units, offset)
+    assert dist.canonical[1].order == size
+    shots = list(sample_stream(dist, 10_000, 11))
+    members = {id(e): e for e in dist.members()}
+    assert len(members) == size and {id(s) for s in shots} <= members.keys()
+    assert {s.residues for s in shots} <= coset_of(dist)
+    rng = random.Random(11)
+    assert all(id(dist.sample(rng)) in members for _ in range(100))
+    for shot in members.values():
+        fresh = GroupElement._reduced(dist.group, shot.residues)
+        assert shot == fresh and hash(shot) == hash(fresh)
+        assert str(shot) == str(fresh) == old_text(shot.residues)
+
+
+@pytest.mark.parametrize("moduli, n_units", [((257,), 1), ((2,) * 9, 9), ((3, 100), 2)])
+def test_cosets_past_256_elements_hand_out_fresh_elements(moduli, n_units):
+    dist = units_coset(moduli, n_units, (1,) * len(moduli))
+    assert dist.canonical[1].order > 256
+    shots = list(sample_stream(dist, 2_000, 11))
+    assert len({id(s) for s in shots}) == len(shots)
+    assert all(str(s) == old_text(s.residues) for s in shots)
+
+
 @st.composite
 def equal_cosets(draw):
     """(moduli, qft targets, (gens, shift), (gens', shift')) of one coset:
