@@ -128,11 +128,9 @@ class AbelianGroup:
 @dataclass(frozen=True)
 class GroupElement:
     """An element of an AbelianGroup, stored in slots as reduced residues;
-    the public constructor checks them, for input from outside the program.
-    The `_text` slot holds the element's `str` when it was formatted ahead,
-    for an element handed out many times, and None otherwise."""
+    the public constructor checks them, for input from outside the program."""
 
-    __slots__ = ("group", "residues", "_nonzero", "_text")
+    __slots__ = ("group", "residues", "_nonzero")
     group: AbelianGroup
     residues: tuple[int, ...]
 
@@ -145,7 +143,6 @@ class GroupElement:
         for r, d in zip(self.residues, self.group.moduli):
             if not 0 <= r < d:
                 raise ValueError(f"residue {r} out of range for modulus {d}")
-        _set_text(self, None)
 
     @classmethod
     def _reduced(cls, group: AbelianGroup, residues: tuple[int, ...]) -> GroupElement:
@@ -155,16 +152,21 @@ class GroupElement:
         element = object.__new__(cls)
         _set_group(element, group)
         _set_residues(element, residues)
-        _set_text(element, None)
         return element
 
-    @classmethod
-    def _formatted(cls, group: AbelianGroup, residues: tuple[int, ...]) -> GroupElement:
+    @staticmethod
+    def _formatted(group: AbelianGroup, residues: tuple[int, ...]) -> GroupElement:
         """A `_reduced` element whose `str` is formatted now and kept, for
         an element handed out many times, such as a shot of a small coset."""
-        element = cls._reduced(group, residues)
-        _set_text(element, str(element))
+        element = _PreformattedElement._reduced(group, residues)
+        _set_text(element, GroupElement.__str__(element))
         return element
+
+    def __eq__(self, other):
+        # by value, so that a preformatted element equals a plain one
+        if isinstance(other, GroupElement):
+            return self.residues == other.residues and self.group == other.group
+        return NotImplemented
 
     def __reduce__(self):
         return GroupElement, (self.group, self.residues)
@@ -220,12 +222,8 @@ class GroupElement:
         return all(r == 0 for r in self.residues)
 
     def __str__(self):
-        # the one formatting path for shots, "(r_1,...,r_m)", read from the
-        # slot when formatted ahead: five or more single-digit residues go
-        # as bytes into a template, others by repr
-        text = self._text
-        if text is not None:
-            return text
+        # the one formatting path for shots, "(r_1,...,r_m)": five or more
+        # single-digit residues go as bytes into a template, others by repr
         template = self.group._digit_template
         if template is None or len(template) < 10:
             return repr(self.residues).replace(" ", "").replace(",)", ")")
@@ -234,9 +232,22 @@ class GroupElement:
         return line.translate(_DIGITS).decode()
 
 
+@dataclass(frozen=True, eq=False)
+class _PreformattedElement(GroupElement):
+    """A GroupElement that keeps its `str`, formatted once when it was built,
+    in one more slot; it equals, hashes, pickles and copies as the plain
+    element. A plain element has no such slot, so building one costs
+    nothing more."""
+
+    __slots__ = ("_text",)
+
+    def __str__(self):
+        return self._text
+
+
 # the slots' own setters, which a frozen instance's __setattr__ refuses
 _set_group, _set_residues = GroupElement.group.__set__, GroupElement.residues.__set__
-_set_nonzero, _set_text = GroupElement._nonzero.__set__, GroupElement._text.__set__
+_set_nonzero, _set_text = GroupElement._nonzero.__set__, _PreformattedElement._text.__set__
 
 
 @dataclass(frozen=True)
