@@ -532,7 +532,8 @@ class OutputDistribution:
                         return block.translate(mod_d)
                     return bytes(map(mod, block, cycle(d)))
 
-                steps = _byte_steps([bytes(v) for v in rows], radices, reduced, max(d) - 1)
+                byte_rows = [bytes(v) for v in rows]
+                steps = _byte_steps(byte_rows, radices, reduced, max(d) - 1)
             else:
                 top = max(sum((n - 1) * h[j] for n, h in zip((2, *radices), rows))
                           for j in range(m))
@@ -545,10 +546,8 @@ class OutputDistribution:
                         return map(mod, unpack(acc.to_bytes(m * w // 8, "little")), d)
                     return [(acc >> s & mask) % dj for s, dj in zip(shifts, d)]
 
-                packed = [
-                    int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in v), "little")
-                    for v in rows
-                ]
+                packed = [int.from_bytes(b"".join(r.to_bytes(w // 8, "little") for r in v),
+                                         "little") for v in rows]
                 steps = _steps(packed, radices, add)
             chunks = [steps[i:i + period] for i in range(0, len(steps), period)]
 

@@ -247,7 +247,8 @@ class _PreformattedElement(GroupElement):
 
 # the slots' own setters, which a frozen instance's __setattr__ refuses
 _set_group, _set_residues = GroupElement.group.__set__, GroupElement.residues.__set__
-_set_nonzero, _set_text = GroupElement._nonzero.__set__, _PreformattedElement._text.__set__
+_set_nonzero = GroupElement._nonzero.__set__
+_set_text = _PreformattedElement._text.__set__
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,8 @@ def test_elements_are_slotted_and_survive_pickle_and_copy():
     for f, text in ((GroupElement._formatted(g, (0, 5, 3)), "(0,5,3)"),
                     (GroupElement._formatted(five, (1, 2, 3, 4, 9)), "(1,2,3,4,9)")):
         fresh = GroupElement._reduced(f.group, f.residues)
-        assert f._text == text and not hasattr(fresh, "_text") and not hasattr(f, "__dict__")
+        assert f._text == text and not hasattr(fresh, "_text")
+        assert not hasattr(f, "__dict__")
         assert f == fresh and hash(f) == hash(fresh) and str(f) == str(fresh) == text
         for other in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
             assert other == f and hash(other) == hash(f) and str(other) == text
