@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, compress, cycle, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, floordiv, getitem, mod, mul, xor
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
@@ -49,7 +49,8 @@ from .homs import (
 # auto_inverse, endo_dual, kernel_basis, pauli_dagger, pauli_identity,
 # pauli_mul, pauli_pow, extract_endo and quad_eval have no caller here;
 # perfbench's tracer wraps them in this namespace, so they stay bound
-from .intlinalg import _DIGIT, _PARITY, howell_eliminate, howell_reduce, kernel_basis
+from .intlinalg import howell_eliminate, howell_reduce, kernel_basis, mod_table
+from .intlinalg import pack_bits, pack_bytes, transpose, unpack_bits, unpack_bytes
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
@@ -186,8 +187,8 @@ class Tableau:
 
 
 class _Z2Tableau(Tableau):
-    """The Tableau over Z_2^m in bits: each column one int, as Stim's
-    bit-packed rows (arXiv:2103.02202) are, with row r of R in bit R-1-r.
+    """The Tableau over Z_2^m in bits: each column a bit row over the
+    labels (intlinalg's packed rows), row r of R in bit R-1-r.
 
     `a` lists the input phases, and the increments mod 4, in units of
     |G|/2, are the bit-planes p0 + 2 p1. The Pauli frame is (fz, fx),
@@ -198,8 +199,8 @@ class _Z2Tableau(Tableau):
         self.group = group = _common_group(labels)
         m = group.num_factors
         self.a = [s.phase.value for s in labels]
-        self.z = _bit_columns([s.z_part.residues for s in labels], m)
-        self.x = _bit_columns([s.x_part.residues for s in labels], m)
+        self.z = list(map(pack_bits, transpose([s.z_part.residues for s in labels], m)))
+        self.x = list(map(pack_bits, transpose([s.x_part.residues for s in labels], m)))
         self.p0 = self.p1 = self.fz = self.fx = 0
 
     def fourier(self, gate: FourierGate) -> None:
@@ -244,40 +245,22 @@ class _Z2Tableau(Tableau):
     def pauli(self, gate: PauliGate) -> None:
         # the label's parts as masks, factor i in bit i
         p = gate.label
-        self.fz ^= int(bytes(p.z_part.residues[::-1]).translate(_PARITY), 2)
-        self.fx ^= int(bytes(p.x_part.residues[::-1]).translate(_PARITY), 2)
+        self.fz ^= pack_bits(p.z_part.residues[::-1])
+        self.fx ^= pack_bits(p.x_part.residues[::-1])
 
     def labels(self) -> tuple[PauliLabel, ...]:
         # F ~ Z(g) X(h) moves each phase by chi_g(x) chi_z(-h), |G| (g.x + h.z)
-        parity = 0
-        for col in (*_at_bits(self.fz, self.x), *_at_bits(self.fx, self.z)):
-            parity ^= col
-        self.p1 ^= parity
+        m = len(self.z)
+        for cols, frame in ((self.x, self.fz), (self.z, self.fx)):
+            for col in compress(cols, unpack_bits(frame, m)[::-1]):
+                self.p1 ^= col
         self.fz = self.fx = 0
         g, R, element = self.group, len(self.a), GroupElement._reduced
         U, L, label = g.order // 2, g.phase_modulus, PauliLabel._reduced
-        rows = zip(self.a, _bit_rows((self.p0, self.p1), R),
-                   _bit_rows(self.z, R), _bit_rows(self.x, R))
+        rows = zip(self.a, *(transpose([unpack_bits(c, R) for c in cols], R)
+                             for cols in ((self.p0, self.p1), self.z, self.x)))
         return tuple(label((a + U * (k[0] + 2 * k[1])) % L, element(g, tuple(z)),
                            element(g, tuple(x))) for a, k, z, x in rows)
-
-
-def _bit_columns(rows: list[tuple[int, ...]], m: int) -> list[int]:
-    """Columns of 0/1 rows as ints, row r of R in bit R-1-r."""
-    flat = b"".join(map(bytes, rows))
-    return [int(flat[i::m].translate(_PARITY), 2) for i in range(m)]
-
-
-def _bit_rows(cols: Sequence[int], R: int) -> list[bytes]:
-    """The rows of _bit_columns back, each as bytes of 0/1."""
-    flat = "".join(format(c, f"0{R}b") for c in cols).encode().translate(_DIGIT)
-    return [flat[r::R] for r in range(R)]
-
-
-def _at_bits(mask: int, cols: list[int]) -> Iterator[int]:
-    """cols[i] for each bit i set in mask."""
-    bits = format(mask, f"0{len(cols)}b")[::-1]
-    return compress(cols, bits.encode().translate(_DIGIT))
 
 
 def _axpy(acc: list[int], c: int, col: list[int], mod: int) -> list[int]:
@@ -494,51 +477,40 @@ class OutputDistribution:
         """(|S|, decode, shared), decode(r) = x0 + sum_i c_i row_i mod d as
         residues for r = c_1 + n_1 (c_2 + n_2 (...)) < |S|, n_i the radices.
 
-        Over lcm 2 and m > 128, c is r's bits and rows are ints with a bit per
-        factor: byte k of r indexes the XORs of rows 8k..8k+7, as Stim packs
-        rows (arXiv:2103.02202). Otherwise residue j is field j of an int, and
-        each digit adds its step's entry: with moduli up to 128 a byte,
-        entries reduced mod d and the sum folded before `period` more could
-        pass 255; else wide enough for the unreduced sum, unpacked in one
-        call up to 64 bits. A coset of at most 256 elements is also built
-        whole, once: shared[r] is the element of decode(r), its `str`
-        formatted ahead, and every shot and member of the coset is one of
-        these; wider cosets have shared None.
+        Over lcm 2 and m > 128, c is r's bits and rows are bit rows: byte k
+        of r indexes the XORs of rows 8k..8k+7, as Stim packs rows
+        (arXiv:2103.02202). Otherwise residue j is field j of an int, and
+        each digit adds its step's entry. With one modulus d <= 128 these
+        are byte rows of entries reduced mod d, the sum folded by one
+        translate before `period` more could pass 255; else fields hold the
+        unreduced sum, unpacked in one `struct` call up to 64 bits. A coset
+        of at most 256 elements is also built whole, once: shared[r] is the
+        element of decode(r), its `str` formatted ahead, and every shot and
+        member of the coset is one of these; wider cosets have shared None.
         """
         x0, basis = self.canonical
         d, m, radices = self.group.moduli, self.group.num_factors, basis.radices
         rows = [x0.residues, *(h.residues for h in basis.rows)]
         if max(d) <= 2 and m > 128:
-            bits = [int(bytes(v).translate(_PARITY), 2) for v in rows]
-            tables = [t for _, t in _steps(bits, radices, xor)]
+            tables = [t for _, t in _steps(list(map(pack_bits, rows)), radices, xor)]
 
-            def decode(r, width=len(tables), fmt=f"0{m}b"):
+            def decode(r, width=len(tables)):
                 acc = reduce(xor, map(getitem, tables, r.to_bytes(width, "little")))
-                return tuple(format(acc, fmt).encode().translate(_DIGIT))
+                return tuple(unpack_bits(acc, m))
         else:
-            if max(d) <= 128:
-                period = 255 // (max(d) - 1 or 1) - 1
-                mod_d = len(set(d)) == 1 and bytes(b % d[0] for b in range(256))
+            if len(set(d)) == 1 and d[0] <= 128:
+                period = 255 // (d[0] - 1 or 1) - 1
+                mod_d = mod_table(d[0])
 
                 def split(acc):
-                    v = acc.to_bytes(m, "little")
-                    return v.translate(mod_d) if mod_d else bytes(map(mod, v, d))
+                    return unpack_bytes(acc, m).translate(mod_d)
 
-                def fold(acc):
-                    return int.from_bytes(split(acc), "little")
-
-                def reduced(block):  # each byte of m-byte entries mod its modulus
-                    if mod_d:
-                        return block.translate(mod_d)
-                    return bytes(map(mod, block, cycle(d)))
-
-                byte_rows = [bytes(v) for v in rows]
-                steps = _byte_steps(byte_rows, radices, reduced, max(d) - 1)
+                steps = _byte_steps(list(map(bytes, rows)), radices, mod_d, d[0] - 1)
             else:
                 top = max(sum((n - 1) * h[j] for n, h in zip((2, *radices), rows))
                           for j in range(m))
                 w = max(16, 1 << (top.bit_length() - 1).bit_length())
-                period, fold = len(rows), None
+                period = len(rows)
                 unpack = w <= 64 and Struct(f"<{m}{'HIQ'[w.bit_length() - 5]}").unpack
 
                 def split(acc, mask=(1 << w) - 1, shifts=range(0, w * m, w)):
@@ -554,8 +526,8 @@ class OutputDistribution:
             def decode(r):
                 acc = 0
                 for chunk in chunks:
-                    if acc:
-                        acc = fold(acc)
+                    if acc:  # only byte rows fold: wider fields take one chunk
+                        acc = pack_bytes(split(acc))
                     for n, table in chunk:
                         r, t = divmod(r, n)
                         acc += table[t]
@@ -602,38 +574,37 @@ def _steps(rows: list[int], radices: Sequence[int], combine) -> list[tuple]:
 
 
 def _byte_steps(
-    rows: list[bytes], radices: Sequence[int], reduced, top: int
+    rows: list[bytes], radices: Sequence[int], mod_d: bytes, top: int
 ) -> list[tuple]:
-    """_steps over rows of byte fields, each at most top < 128, with every
-    table entry reduced mod d by `reduced`. A run's table is one bytes object
-    of m-byte entries: the block of entries for digit c + 1 of its newest
+    """_steps over byte rows of one modulus d, fields at most top = d - 1,
+    every table entry reduced by mod_d's translate. A run's table is one
+    byte row of m-entry blocks: the block for digit c + 1 of its newest
     row is the block for c plus that row, added as one int across the
-    block. A block is reduced, by one `reduced` call over its joined bytes,
+    block. A block is reduced, by one translate over its joined bytes,
     only once one more row could pass 255 in a field; a table is reduced
     once more at the end of its run if it holds unreduced sums, and split
-    into ints there."""
+    into entries there."""
     m = len(rows[0])
     runs = [(1, rows[0], top)]  # (entries, table, bound on its fields)
     for h, n in zip(rows[1:], radices):
         fits = runs[-1][0] * n <= _TABLE_SIZE
         k, table, bound = runs.pop() if fits else (1, bytes(m), 0)
-        block, step = int.from_bytes(table, "little"), int.from_bytes(h * k, "little")
+        block, step = pack_bytes(table), pack_bytes(h * k)
         blocks, last = [table], bound
         for _ in range(n - 1):
             block, last = block + step, last + top
-            fields = block.to_bytes(k * m, "little")
+            fields = unpack_bytes(block, k * m)
             if last + top > 255:
-                fields = reduced(fields)
-                block, last = int.from_bytes(fields, "little"), top
+                fields = fields.translate(mod_d)
+                block, last = pack_bytes(fields), top
             blocks.append(fields)
             bound = max(bound, last)
         runs.append((k * n, b"".join(blocks), bound))
     steps = []
     for n, table, bound in runs:
         if bound > top:
-            table = reduced(table)
-        entries = [int.from_bytes(table[i:i + m], "little") for i in range(0, n * m, m)]
-        steps.append((n, entries))
+            table = table.translate(mod_d)
+        steps.append((n, [pack_bytes(table[i:i + m]) for i in range(0, n * m, m)]))
     return steps
 
 

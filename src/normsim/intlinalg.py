@@ -8,7 +8,12 @@ exactly over the integers, where the solution set is particular +
 Z-span(kernel). `howell_eliminate` runs the elimination, over labels
 too, and leaves its echelon unreduced: `solve_mod` needs no reduction,
 and `howell_reduce` reduces it for `howell_form` and readout, the
-callers that read the canonical form. Over Z_2 rows are held as ints.
+callers that read the canonical form.
+
+Packed rows are the formats the Z_2 elimination, the bit tableau and the
+sampler share: a bit row holds n entries mod 2 in one int, entry 0 in the
+top bit, as Stim's tables do (arXiv:2103.02202), a byte row entries in
+[0, 256), entry j in byte j; `transpose` turns rows into columns and back.
 """
 
 from __future__ import annotations
@@ -82,9 +87,8 @@ def howell_eliminate(rows: Sequence[Row], N: int, stop: int, L: int = 0):
     On labels every step is a product of integer powers of rows, in
     closed form with the exact gcd exponents, so no phase relies on a
     row's N-th power being the identity: the pool then generates every
-    element of the rows' group whose X part is zero. Over Z_2 each row is
-    held as one int and XOR is the row operation; the steps, and so the
-    results, are those of the list elimination.
+    element of the rows' group whose X part is zero. Over Z_2 the same
+    steps run on bit rows, XOR the row operation, with the same results.
     """
     if N < 1:
         raise ValueError("modulus must be a positive integer")
@@ -147,14 +151,48 @@ def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
     return echelon, pool
 
 
-# the binary digit of each byte's parity, and back
-_PARITY = bytes(b"01"[i & 1] for i in range(256))
-_DIGIT = bytes.maketrans(b"01", b"\x00\x01")
+_PARITY = bytes(b"01"[i & 1] for i in range(256))  # each byte's parity digit
+_DIGIT = bytes.maketrans(b"01", b"\x00\x01")  # and back
+
+
+def pack_bits(row: Sequence[int]) -> int:
+    """The entries of row mod 2 as one bit row."""
+    try:
+        digits = bytes(row)
+    except ValueError:  # an entry outside [0, 256)
+        digits = bytes([v & 1 for v in row])
+    return int(digits.translate(_PARITY) or b"0", 2)
+
+
+def unpack_bits(packed: int, n: int) -> bytes:
+    """The n >= 1 entries of a bit row, each 0 or 1."""
+    return format(packed, f"0{n}b").encode().translate(_DIGIT)
+
+
+def transpose(rows: Sequence[Sequence[int]], n: int) -> list[bytes]:
+    """The n columns of rows of n entries in [0, 256), each as bytes."""
+    flat = b"".join(map(bytes, rows))
+    return [flat[j::n] for j in range(n)]
+
+
+def pack_bytes(row: Sequence[int]) -> int:
+    """Entries in [0, 256) as one byte row."""
+    return int.from_bytes(row, "little")
+
+
+def unpack_bytes(packed: int, n: int) -> bytes:
+    """The n entries of a byte row."""
+    return packed.to_bytes(n, "little")
+
+
+def mod_table(d: int) -> bytes:
+    """The bytes.translate table that takes each byte mod d."""
+    return bytes(b % d for b in range(256))
 
 
 def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
-    """_howell_lists over Z_2, each row's entries one int, entry 0 in the
-    top bit: a label's X part is then its high half and Z its low half.
+    """_howell_lists over Z_2 on bit rows: a label's X part is then the
+    high half of its row and Z the low half.
 
     For N = 2 every gcd step has s = 0 and t = p = q = 1: the new row
     becomes the pivot and leaves row * pivot^-1, which is XOR, and the
@@ -164,13 +202,6 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
     w = L // 2
     n = len(rows[0][0]) if rows else stop
 
-    def pack(x: list[int]) -> int:
-        try:
-            digits = bytes(x)
-        except ValueError:  # an entry outside [0, 256)
-            digits = bytes([v & 1 for v in x])
-        return int(digits.translate(_PARITY) or b"0", 2)
-
     def over(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
         """u * v^-1; the entries of v^-1 are v's, its phase -b - chi_z(x)."""
         x = u[0] ^ v[0]
@@ -178,7 +209,7 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
             return x, 0
         return x, (u[1] - v[1] + w * (v[0] & x >> stop).bit_count()) % L
 
-    pool = [(pack(x), a % L if L else 0) for x, a in rows]
+    pool = [(pack_bits(x), a % L if L else 0) for x, a in rows]
     pool = [row for row in pool if row[0] or row[1]]
     echelon: list[tuple[int, tuple[int, int]]] = []
     for c in range(stop):
@@ -201,11 +232,8 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
                     rest.append((0, a))
             echelon.append((c, piv))
         pool = rest
-
-    def unpack(row: tuple[int, int]) -> Row:
-        return list(format(row[0], f"0{n}b")[:n].encode().translate(_DIGIT)), row[1]
-
-    return [(c, unpack(row)) for c, row in echelon], list(map(unpack, pool))
+    echelon = [(c, (list(unpack_bits(x, n)), a)) for c, (x, a) in echelon]
+    return echelon, [(list(unpack_bits(x, n)), a) for x, a in pool]
 
 
 def howell_reduce(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
@@ -227,13 +255,13 @@ def _reduce_lists(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
 
 def _reduce_bits(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
     bits = [1 << (stop - 1 - c) for c, _ in echelon]
-    rows = [int(bytes(v[:stop]).translate(_PARITY), 2) for _, (v, _) in echelon]
+    rows = [pack_bits(v[:stop]) for _, (v, _) in echelon]
     for i, x in enumerate(rows):
         for bit, y in zip(bits[i + 1 :], rows[i + 1 :]):
             if x & bit:
                 x ^= y
         rows[i] = x
-    return [tuple(format(x, f"0{stop}b").encode().translate(_DIGIT)) for x in rows]
+    return [tuple(unpack_bits(x, stop)) for x in rows]
 
 
 def solve_mod(

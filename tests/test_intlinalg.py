@@ -14,7 +14,7 @@ from operator import mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import normsim.intlinalg as intlinalg
@@ -22,8 +22,14 @@ from normsim.intlinalg import (
     DiophantineSolution,
     howell_form,
     kernel_basis,
+    mod_table,
+    pack_bits,
+    pack_bytes,
     solve_diophantine,
     solve_mod,
+    transpose,
+    unpack_bits,
+    unpack_bytes,
 )
 
 
@@ -344,6 +350,73 @@ def z2_systems(draw):
     A = draw(st.lists(row, min_size=n, max_size=n))
     targets = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
     return A, targets, m
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_bit_rows_unpack_to_their_entries_mod_2(data):
+    """pack_bits then unpack_bits is the identity on 0/1 rows of every
+    width from 1 to 1,100, entry 0 in the top bit; entries in [2, 256)
+    and outside [0, 256), negative ones too, come back reduced mod 2."""
+    n = data.draw(st.integers(1, 1100), label="width")
+    bits = data.draw(st.integers(0, 2**n - 1), label="bits")
+    row = [bits >> (n - 1 - j) & 1 for j in range(n)]
+    anywhere = st.one_of(st.integers(2, 255), st.integers(-(2**70), 2**70))
+    moves = st.lists(st.tuples(st.integers(0, n - 1), anywhere), max_size=4)
+    for j, v in data.draw(moves, label="entries past 0/1"):
+        row[j] = v
+    packed = pack_bits(row)
+    assert packed == sum((v % 2) << (n - 1 - j) for j, v in enumerate(row))
+    assert list(unpack_bits(packed, n)) == [v % 2 for v in row]
+
+
+@st.composite
+def byte_matrices(draw):
+    """(rows, n): R >= 0 rows of n >= 0 bytes each."""
+    n = draw(st.integers(0, 40))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(bytes)
+    row = st.binary(min_size=n, max_size=n) | bits
+    return draw(st.lists(row, max_size=40)), n
+
+
+@settings(max_examples=200)
+@given(byte_matrices())
+@example(([], 5))  # no rows
+@example(([b"\x01", b"\x00", b"\x01"], 1))  # one column
+@example(([], 1))
+def test_transpose_twice_is_the_identity(case):
+    """transpose gives column j as the bytes rows[r][j] over r, and back;
+    over 0/1 entries its columns packed as bit rows, row 0 on top, unpack
+    to the same columns, as the bit tableau's set-up and readout use them."""
+    rows, n = case
+    columns = transpose(rows, n)
+    assert columns == [bytes(row[j] for row in rows) for j in range(n)]
+    assert transpose(columns, len(rows)) == rows
+    if rows and all(set(row) <= {0, 1} for row in rows):
+        packed = list(map(pack_bits, columns))
+        assert [unpack_bits(c, len(rows)) for c in packed] == columns
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_byte_rows_and_mod_tables_are_exact(data):
+    """pack_bytes then unpack_bytes is the identity on rows of widths 0 to
+    1,100, entry j in byte j; packed rows add field by field while no
+    field passes 255; and for every d in 2..128 the table mod_table(d)
+    takes each byte mod d."""
+    n = data.draw(st.integers(0, 1100), label="width")
+    row = list(data.draw(st.binary(min_size=n, max_size=n), label="row"))
+    packed = pack_bytes(row)
+    assert packed == sum(v << 8 * j for j, v in enumerate(row))
+    assert unpack_bytes(packed, n) == bytes(row)
+    raw = data.draw(st.binary(min_size=n, max_size=n), label="other")
+    other = [r % (256 - v) for r, v in zip(raw, row)]
+    total = unpack_bytes(packed + pack_bytes(other), n)
+    assert total == bytes(map(sum, zip(row, other)))
+    for d in range(2, 129):
+        table = mod_table(d)
+        assert list(table) == [b % d for b in range(256)]
+        assert unpack_bytes(packed, n).translate(table) == bytes(v % d for v in row)
 
 
 def list_elimination():

@@ -17,6 +17,7 @@ import math
 import random
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -122,8 +123,8 @@ def test_decode_reaches_each_coset_element_once(seed):
     ids=["2^32", "3^16", "10^8", "mixed"],
 )
 def test_decode_is_a_bijection_with_byte_fields(moduli, n_gens):
-    # every field fits in one byte: equal moduli split through one
-    # translate, mixed ones through map(mod, ...)
+    # every field sum fits in one byte: the equal moduli take byte rows,
+    # split by one translate; the mixed case takes 16-bit struct fields
     rng = random.Random(f"bytes:{moduli}")
     group = AbelianGroup(moduli)
 
@@ -162,13 +163,15 @@ def radix_2_or_3(rng, d):
     return d // next(q for q in (2, 3, d) if d % q == 0)
 
 
-# (moduli, support rows, pivot residues): lcm 2 up to m = 1024, in byte
-# fields up to 128 factors and in bits above; the factors of order 1 that
-# the package tolerates internally; equal
-# moduli with so many radix-d rows that even reduced table entries pass
-# 255 in a byte before the end; mixed moduli within a byte, up to 128;
-# moduli past a byte in fields of 16 and 64 bits, and with radices past
-# a table, 2^40 and 10^9+7, in fields past 64 bits
+# (moduli, support rows, pivot residues), by the decode each reaches:
+# lcm 2 in byte rows up to 128 factors and in bit rows, by XOR, above;
+# the factors of order 1 that the package tolerates internally, in byte
+# rows; equal moduli with so many radix-d rows that even reduced table
+# entries pass 255 in a byte before the end, so the sum folds, and d =
+# 128, where it folds before every step; unequal moduli, within a byte
+# or past it, in `struct` fields of 16, 32 and 64 bits; and with radices
+# past a table, 2^40 and 10^9+7, in fields past 64 bits, split by shift
+# and mask. The coset of "2^8", "mixed-small" and "ones" is also shared.
 DECODE_CASES = {
     "2^8": ((2,) * 8, 5, None),
     "2^40": ((2,) * 40, 30, None),
@@ -178,10 +181,12 @@ DECODE_CASES = {
     "7^120": ((7,) * 120, 100, unit),
     "9^90": ((9,) * 90, 80, unit),
     "9^60": ((9,) * 60, 50, None),
+    "128^60": ((128,) * 60, 40, None),
     "mixed-byte": ((2, 3, 4, 6, 9, 12, 16, 27, 125, 128) * 6, 40, None),
     "mixed-small": ((2, 3, 5, 7), 3, None),
     "ones": ((1, 1, 1), 0, None),
     "wide-16": ((200, 129, 6, 12) * 4, 10, radix_2_or_3),
+    "wide-32": ((1000, 999, 6, 12) * 4, 10, unit),
     "wide-64": ((2**40, 12, 200, 6) * 6, 16, radix_2_or_3),
     "wide-128": ((2**40, 10**9 + 7, 9, 2) * 6, 16, unit),
 }
@@ -202,6 +207,29 @@ def test_every_decode_is_its_definition(case):
         replay = Replay(draws)
         shots = [dist.sample(replay).residues for _ in draws]
         assert shots == [defined_decode(dist, r) for r in draws]
+
+
+def test_unequal_small_moduli_shots_cost_under_three_z3_shots():
+    """Per shot with `str`, set-up apart, the minimum over alternating
+    repeats in one process, so the machine's speed cancels: unequal moduli
+    up to 128, (2, 3, 4, 6, 9, 12, 16, 27, 125, 128) x 6 with 40 rows,
+    take 16-bit `struct` fields and cost under 3x a shot of Z_3^256 with
+    128 rows in byte rows (about 1.4x; about 6-11x when those moduli took
+    byte rows folded byte by byte before every step)."""
+    cases = [
+        echelon_coset(random.Random(3), moduli, n_rows)
+        for moduli, n_rows in (((2, 3, 4, 6, 9, 12, 16, 27, 125, 128) * 6, 40),
+                               ((3,) * 256, 128))
+    ]
+    best = [math.inf] * len(cases)
+    for seed in range(7):
+        for k, dist in enumerate(cases):
+            list(sample_stream(dist, 1, seed))  # builds the decode
+            start = time.perf_counter()
+            for shot in sample_stream(dist, 400, seed):
+                str(shot)
+            best[k] = min(best[k], time.perf_counter() - start)
+    assert best[0] < 3 * best[1]
 
 
 def test_shots_build_no_checked_elements(monkeypatch):
