@@ -123,9 +123,9 @@ def _load_circuit(path: str) -> ParsedCircuit:
 
 
 def _cmd_simulate(args) -> int:
-    circuit = _load_circuit(args.file)
     if args.shots < 0:
         raise _UsageError("--shots must be nonnegative")
+    circuit = _load_circuit(args.file)
     dist = simulate(circuit.coset, circuit.gates)
     lines = map(str, sample_stream(dist, args.shots, args.seed))
     while chunk := list(islice(lines, _CHUNK)):

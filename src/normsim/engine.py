@@ -24,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, compress, repeat
-from operator import add, floordiv, getitem, mod, mul, xor
+from itertools import accumulate, chain, compress, repeat
+from operator import add, floordiv, getitem, index, mod, mul, xor
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -56,6 +56,7 @@ from .quadratic import QuadraticEncoding, extract_endo, quad_eval
 
 
 _TABLE_SIZE = 256  # entries in one sampler table, and a coset held whole
+_BLOCK = 4096  # shots drawn at once by sample_stream
 
 
 class EngineError(RuntimeError):
@@ -67,7 +68,7 @@ class NotInvertible(ValueError):
 
 
 def _check_targets(group: AbelianGroup, targets: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(sorted(int(i) for i in targets))
+    t = tuple(sorted(map(index, targets)))
     if not t:
         raise ValueError("transform needs at least one target factor")
     if len(set(t)) != len(t):
@@ -662,22 +663,62 @@ def simulate(coset: CosetInput, gates: Sequence[Gate]) -> OutputDistribution:
     return output_distribution(conjugate_circuit(init_stabilizer(coset), gates))
 
 
+def _draw_blocks(rng: random.Random, n: int, shots: int) -> Iterator[Sequence[int]]:
+    """The values of `shots` calls rng.randrange(n), in blocks of about
+    _BLOCK; joined, exactly the values those calls return.
+
+    It relies on CPython's random: randrange(n) is _randbelow(n), which
+    draws k = n.bit_length() bits by getrandbits(k) until they fall below
+    n; for k <= 32 getrandbits(k) is the top k bits of the generator's next
+    32-bit MT19937 word, and getrandbits(32 b) is its next b words, the
+    first least significant. So the draws are the words of one
+    getrandbits(32 b) shifted right by 32 - k, those at n or above
+    dropped. Up to k = 8 a draw is the word's top byte shifted, and one
+    translate shifts and drops them all; up to k = 32 one `struct` unpack
+    reads the words. Wider draws stay randrange calls. Words drawn past the
+    last shot are never read, so rng should be the caller's own.
+    """
+    k = n.bit_length()
+    if k <= 8:
+        table = bytes(t >> 8 - k for t in range(256))
+        rejected = bytes(range(n << 8 - k, 256))
+    elif k <= 32:
+        shift, limit = 32 - k, n << 32 - k
+    while shots > 0:
+        if k > 32:
+            draws = list(map(rng.randrange, repeat(n, min(shots, _BLOCK))))
+        else:
+            # words for a block of shots at the acceptance rate n / 2^k,
+            # and 32 more, so that a stream rarely needs one more block
+            words = (min(shots, _BLOCK) << k) // n + 32
+            block = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            if k <= 8:
+                draws = block[3::4].translate(table, rejected)
+            else:
+                words = Struct(f"<{words}I").unpack(block)
+                draws = [w >> shift for w in words if w < limit]
+        yield draws[:shots]
+        shots -= len(draws)
+
+
 def sample_stream(
     dist: OutputDistribution, shots: int, seed: int | None
 ) -> Iterator[GroupElement]:
-    """Shots from random.Random(seed), one randrange(|S|) draw each.
+    """Shots from random.Random(seed): the draw of each is the value
+    randrange(|S|) would give, taken from blocks of MT19937 words (see
+    _draw_blocks), so the stream is that of one randrange call per shot.
 
     Each draw is decoded over the canonical form of the output coset, so
     the stream is a function of the coset and the seed alone: any
     generators and offset of the same coset give the same shots. Streams
     moved once, in 0.2.0, from one draw per support generator to this.
     A coset of at most 256 elements hands out its shared elements, built
-    and formatted once, so a shot is one draw and one list lookup and its
-    `str` a slot read; over a wider coset maps chain the draw, the decode
-    and the element constructor.
+    and formatted once, so a shot is one list lookup and its `str` a slot
+    read; over a wider coset maps chain the draw, the decode and the
+    element constructor.
     """
     size, decode, shared = dist._packed
-    draws = map(random.Random(seed).randrange, repeat(size, shots))
+    draws = chain.from_iterable(_draw_blocks(random.Random(seed), size, shots))
     if shared is not None:
         return map(shared.__getitem__, draws)
     return map(GroupElement._reduced, repeat(dist.group), map(decode, draws))

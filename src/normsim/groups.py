@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterator, Sequence
 
 # Hard ceiling for anything that enumerates the whole group; a larger
@@ -56,7 +57,7 @@ class AbelianGroup:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        mods = tuple(int(d) for d in self.moduli)
+        mods = tuple(map(index, self.moduli))
         if not mods:
             raise ValueError("a group needs at least one cyclic factor")
         if any(d < 1 for d in mods):
@@ -86,7 +87,7 @@ class AbelianGroup:
                 f"expected {len(self.moduli)} residues, got {len(residues)}"
             )
         return GroupElement._reduced(
-            self, tuple(int(r) % d for r, d in zip(residues, self.moduli))
+            self, tuple(index(r) % d for r, d in zip(residues, self.moduli))
         )
 
     def zero(self) -> GroupElement:
@@ -128,7 +129,8 @@ class AbelianGroup:
 @dataclass(frozen=True)
 class GroupElement:
     """An element of an AbelianGroup, stored in slots as reduced residues;
-    the public constructor checks them, for input from outside the program."""
+    the public constructor checks them, for input from outside the program,
+    and refuses a residue that is not an integer, such as 1.0."""
 
     __slots__ = ("group", "residues", "_nonzero")
     group: AbelianGroup
@@ -140,7 +142,7 @@ class GroupElement:
                 f"residue count does not match group: {len(self.residues)} "
                 f"residues, {len(self.group.moduli)} factors"
             )
-        for r, d in zip(self.residues, self.group.moduli):
+        for r, d in zip(map(index, self.residues), self.group.moduli):
             if not 0 <= r < d:
                 raise ValueError(f"residue {r} out of range for modulus {d}")
 
@@ -263,7 +265,7 @@ class PhaseExponent:
     value: int
 
     def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.group.phase_modulus)
+        object.__setattr__(self, "value", index(self.value) % self.group.phase_modulus)
 
     def __add__(self, other: PhaseExponent) -> PhaseExponent:
         if self.group != other.group:

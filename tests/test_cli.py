@@ -191,6 +191,15 @@ def test_missing_file(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.nc")]) == 65
 
 
+def test_negative_shots_is_a_usage_error_before_the_file_is_read(
+    bell_file, tmp_path, capsys
+):
+    for path in (bell_file, str(tmp_path / "nope.nc")):
+        assert main(["simulate", path, "--shots", "-1"]) == 64
+        err = capsys.readouterr().err
+        assert err == "normsim: --shots must be nonnegative\n"
+
+
 HUGE = "1" + "0" * 5000
 
 

@@ -65,6 +65,10 @@ def test_fourier_gate_validation():
         FourierGate(g, (0, 0))
     with pytest.raises(ValueError):
         FourierGate(g, ())
+    # a non-integer target is refused, not truncated to factor 0
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+        FourierGate(g, (0.7,))
+    assert FourierGate(g, (True,)).targets == (1,)
 
 
 def test_fourier_conjugation_swaps_parts():

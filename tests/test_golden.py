@@ -2,11 +2,16 @@
 
 `sample_stream` makes one draw per shot and decodes it over the
 canonical form of the output coset, so a stream is a function of the
-coset and the seed alone, on any platform. The first 20 shots at seed 7
-of three fixed circuits are pinned here as literals: a change to gate
-conjugation or readout that keeps every coset keeps these shots, and a
-change that moves a coset or the sampler fails here. Streams moved
-once, in 0.2.0, from one draw per support generator to one per shot.
+coset and the seed alone, on any platform. The draws are the values of
+one randrange(|S|) call per shot, taken from blocks of MT19937 words:
+the top byte of a word for |S| <= 255, a shifted word up to 2^32 - 1,
+randrange itself above. The first 20 shots at seed 7 of six fixed
+circuits are pinned here as literals, the last three with |S| = 210,
+256 and 3^20, pinned with one randrange call per shot before draws
+came from word blocks: a change to gate conjugation or readout that
+keeps every coset keeps these shots, and a change that moves a coset
+or the sampler fails here. Streams moved once, in 0.2.0, from one draw
+per support generator to one per shot.
 """
 
 import pytest
@@ -76,12 +81,52 @@ def mixed_moduli():
     return _coset(g, [(2, 3, 0, 3, 0)], (1, 0, 17, 2, 99)), gates
 
 
+def mixed_210():
+    """|S| = 210 < 2^8, so a draw is a word's top byte and 46 of its 256
+    values are rejected."""
+    g = AbelianGroup((3, 4, 5, 7, 6))
+    gates = [
+        FourierGate(g, (0, 2, 3)),
+        _shear(g, 4, 0, 1),
+        QuadraticGate(quad_square(g, 2, 2)),
+        QuadraticGate(quad_cross(g, 3, 2, 5)),
+        QuadraticGate(quad_half(g, 1, 1)),
+        PauliGate(pauli_label(g, 5, [1, 3, 2, 6, 5], [2, 1, 4, 3, 1])),
+        _shear(g, 0, 4, 2),
+    ]
+    return _coset(g, [(0, 2, 0, 0, 3)], (1, 1, 3, 5, 2)), gates
+
+
+def z4_256():
+    """|S| = 256, the largest coset held whole: a draw is a word's top 9
+    bits, rejected half of the time."""
+    g = AbelianGroup((4, 4, 4, 4, 3))
+    gates = [FourierGate(g, (0, 1, 2, 3))]
+    gates += [_shear(g, i, i + 1, 3) for i in (0, 1, 2)]
+    gates += [QuadraticGate(quad_cross(g, 0, 3, 1)), QuadraticGate(quad_half(g, 2, 1))]
+    gates.append(PauliGate(pauli_label(g, 3, [1, 2, 3, 0, 2], [3, 0, 1, 2, 1])))
+    return _coset(g, [], (0, 1, 0, 2, 1)), gates
+
+
+def z9_3_20():
+    """|S| = 3^20 < 2^32, so a draw is a whole word."""
+    g = AbelianGroup((9,) * 10 + (2,))
+    gates = [FourierGate(g, tuple(range(10)))]
+    gates += [_shear(g, i, i + 1, 2) for i in range(0, 9, 2)]
+    gates += [QuadraticGate(quad_square(g, i, i + 1)) for i in (1, 4, 7)]
+    gates.append(QuadraticGate(quad_cross(g, 3, 8, 4)))
+    z, x = [1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 1], [8, 7, 6, 5, 4, 3, 2, 1, 0, 2, 0]
+    gates.append(PauliGate(pauli_label(g, 7, z, x)))
+    return _coset(g, [], (0,) * 10 + (1,)), gates
+
+
 def first_shots(circuit):
     coset, gates = circuit
     dist = simulate(coset, gates)
     return [s.residues for s in sample_stream(dist, 20, seed=7)]
 
 
+CIRCUITS = [bell, clifford_z2_8, mixed_moduli, mixed_210, z4_256, z9_3_20]
 GOLDEN = {
     "bell": [
         (1, 1), (0, 0), (1, 1), (0, 0), (0, 0),
@@ -123,15 +168,41 @@ GOLDEN = {
         (0, 4, 549000584982, 2, 156178194),
         (2, 3, 860334762517, 2, 655680430),
     ],
+    "mixed_210": [
+        (1, 2, 3, 2, 5), (2, 0, 1, 1, 4), (2, 2, 1, 3, 1), (1, 2, 2, 5, 5),
+        (0, 0, 2, 0, 0), (0, 0, 3, 0, 0), (2, 2, 2, 4, 1), (0, 0, 4, 0, 0),
+        (0, 2, 0, 3, 3), (2, 2, 4, 4, 1), (2, 0, 2, 0, 4), (0, 2, 1, 4, 3),
+        (0, 0, 4, 1, 0), (0, 2, 1, 0, 3), (1, 2, 3, 0, 5), (0, 2, 3, 3, 3),
+        (2, 2, 2, 3, 1), (2, 2, 2, 0, 1), (1, 0, 0, 2, 2), (2, 2, 3, 0, 1),
+    ],
+    "z4_256": [
+        (1, 1, 2, 2, 2), (1, 3, 0, 1, 2), (2, 2, 0, 3, 2), (0, 2, 1, 0, 2),
+        (1, 1, 2, 0, 2), (0, 0, 3, 0, 2), (3, 2, 3, 2, 2), (1, 3, 1, 0, 2),
+        (1, 3, 2, 1, 2), (3, 0, 1, 0, 2), (0, 3, 2, 0, 2), (2, 3, 1, 3, 2),
+        (2, 1, 1, 3, 2), (3, 0, 2, 0, 2), (3, 2, 3, 1, 2), (2, 3, 2, 0, 2),
+        (1, 2, 1, 3, 2), (2, 3, 1, 0, 2), (3, 3, 3, 0, 2), (2, 0, 3, 1, 2),
+    ],
+    "z9_3_20": [
+        (2, 5, 0, 6, 1, 1, 7, 2, 5, 3, 1), (0, 1, 1, 0, 1, 1, 4, 0, 6, 1, 1),
+        (8, 4, 1, 6, 6, 7, 4, 3, 3, 4, 1), (0, 8, 3, 2, 1, 6, 4, 8, 1, 7, 1),
+        (4, 3, 6, 2, 1, 2, 3, 7, 4, 0, 1), (6, 3, 6, 2, 6, 3, 0, 2, 7, 0, 1),
+        (5, 5, 6, 4, 6, 7, 1, 4, 8, 5, 1), (3, 4, 3, 4, 5, 6, 4, 3, 0, 1, 1),
+        (3, 3, 2, 5, 5, 3, 3, 4, 0, 4, 1), (5, 1, 5, 1, 4, 8, 2, 1, 4, 6, 1),
+        (1, 5, 6, 2, 5, 6, 0, 7, 5, 0, 1), (8, 3, 0, 0, 6, 8, 5, 5, 5, 5, 1),
+        (0, 2, 1, 8, 1, 1, 7, 3, 3, 2, 1), (5, 7, 8, 3, 2, 0, 6, 6, 3, 0, 1),
+        (8, 8, 5, 7, 3, 5, 1, 5, 8, 0, 1), (4, 5, 4, 4, 4, 5, 3, 2, 7, 4, 1),
+        (5, 6, 7, 1, 0, 5, 4, 6, 5, 4, 1), (4, 1, 3, 7, 8, 4, 6, 8, 6, 0, 1),
+        (3, 1, 1, 0, 7, 8, 0, 0, 6, 2, 1), (0, 0, 6, 5, 0, 1, 4, 0, 0, 1, 1),
+    ],
 }
 
 
-@pytest.mark.parametrize("circuit", [bell, clifford_z2_8, mixed_moduli])
+@pytest.mark.parametrize("circuit", CIRCUITS)
 def test_seed_7_stream_is_pinned(circuit):
     assert first_shots(circuit()) == GOLDEN[circuit.__name__]
 
 
-@pytest.mark.parametrize("circuit", [bell, clifford_z2_8, mixed_moduli])
+@pytest.mark.parametrize("circuit", CIRCUITS)
 def test_pinned_shots_lie_in_the_output_coset(circuit):
     """A re-pin may move the draws, never the distribution they come from."""
     coset, gates = circuit()

@@ -19,6 +19,7 @@ from normsim.groups import (
     character_exponent,
     check_bound,
 )
+from normsim.pauli import pauli_label
 
 
 def character_sum_is_zero(g, bound=ENUM_BOUND):
@@ -78,6 +79,38 @@ def test_element_range_error_names_the_first_bad_residue():
         assert str(err.value) == message
     with pytest.raises(ValueError, match="residue count does not match group"):
         GroupElement(g, (0, 0))
+
+
+def test_non_integers_are_refused_not_truncated():
+    g = AbelianGroup((2, 3))
+    refused = [
+        lambda: AbelianGroup((2.9, 3)),
+        lambda: g.element([1.7, 2.2]),
+        lambda: PhaseExponent(g, 1.5),
+        lambda: GroupElement(g, (1.0, 2)),
+        lambda: pauli_label(g, 2.9, [0, 1], [1, 0]),
+        lambda: pauli_label(g, 1, [0, 1.0], [1, 0]),
+    ]
+    for build in refused:
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            build()
+    # integers of other types pass, and where they are reduced become ints
+    moduli = AbelianGroup((Index(2), True)).moduli
+    assert moduli == (2, 1) and set(map(type, moduli)) == {int}
+    assert g.element([True, Index(5)]).residues == (1, 2)
+    assert PhaseExponent(g, Index(13)).value == 1
+    with pytest.raises(ValueError, match="residue 3 out of range for modulus 3"):
+        GroupElement(g, (Index(1), Index(3)))
+
+
+class Index:
+    """An integer-like value that is not an int, as numpy's scalars are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def test_element_reduction_and_arithmetic():
