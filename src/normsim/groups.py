@@ -128,9 +128,9 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of an AbelianGroup, stored in slots as reduced residues;
+    """An element of an AbelianGroup, stored in slots as reduced int residues;
     the public constructor checks them, for input from outside the program,
-    and refuses a residue that is not an integer, such as 1.0."""
+    refuses a non-integer such as 1.0 and stores np.int64 or True as an int."""
 
     __slots__ = ("group", "residues", "_nonzero")
     group: AbelianGroup
@@ -142,7 +142,10 @@ class GroupElement:
                 f"residue count does not match group: {len(self.residues)} "
                 f"residues, {len(self.group.moduli)} factors"
             )
-        for r, d in zip(map(index, self.residues), self.group.moduli):
+        for r, d in zip(self.residues, self.group.moduli):
+            if type(r) is not int:  # convert, then check the ints
+                _set_residues(self, tuple(map(index, self.residues)))
+                return self.__post_init__()
             if not 0 <= r < d:
                 raise ValueError(f"residue {r} out of range for modulus {d}")
 

@@ -1,14 +1,13 @@
 """Exact integer linear algebra: linear Diophantine and congruence systems.
 
-Matrices are lists of rows of unbounded Python integers. Every
-congruence system goes through one primitive, `solve_mod`: A x = b mod
-N for any number of right-hand sides, by a Howell elimination over Z_N
-that keeps every entry in [0, N). `solve_diophantine` takes a system
-exactly over the integers, where the solution set is particular +
-Z-span(kernel). `howell_eliminate` runs the elimination, over labels
-too, and leaves its echelon unreduced: `solve_mod` needs no reduction,
-and `howell_reduce` reduces it for `howell_form` and readout, the
-callers that read the canonical form.
+Matrices are lists of rows of unbounded Python integers. Every system
+goes through one primitive, the Howell elimination `howell_eliminate`:
+`solve_mod` solves A x = b mod N for any number of right-hand sides,
+every entry in [0, N), and `solve_diophantine` runs it over Z (N = 0),
+where the solution set is particular + Z-span(kernel). The elimination
+runs over labels too and leaves its echelon unreduced: the solvers need
+no reduction, and `howell_reduce` reduces it for `howell_form` and
+readout, the callers that read the canonical form.
 
 Packed rows are the formats the Z_2 elimination, the bit tableau and the
 sampler share: a bit row holds n entries mod 2 in one int, entry 0 in the
@@ -63,6 +62,8 @@ def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
     n = len(rows[0]) if rows else 0
     if any(len(row) != n for row in rows):
         raise ValueError("rows must all have the same length")
+    if N < 1:
+        raise ValueError("modulus must be a positive integer")
     return howell_reduce(howell_eliminate([(row, 0) for row in rows], N, n)[0], N, n)
 
 
@@ -84,26 +85,35 @@ def howell_eliminate(rows: Sequence[Row], N: int, stop: int, L: int = 0):
     that is; echelon lists (pivot column, row) for the pivots there, each
     a divisor of N, its row not reduced against later pivots.
 
+    N = 0 means over Z, no entry reduced: _exgcd(a, 0) is (|a|, +-1, 0),
+    so the annihilator (0/g) * pivot is zero and never reaches the pool,
+    and the s = -1 step makes every pivot positive. The steps, each of
+    determinant 1, keep the rows' lattice, and greedy reduction against
+    the positive pivots decides membership in it.
+
     On labels every step is a product of integer powers of rows, in
     closed form with the exact gcd exponents, so no phase relies on a
     row's N-th power being the identity: the pool then generates every
     element of the rows' group whose X part is zero. Over Z_2 the same
     steps run on bit rows, XOR the row operation, with the same results.
     """
-    if N < 1:
-        raise ValueError("modulus must be a positive integer")
+    if N < 0:
+        raise ValueError("modulus must be 0 (over Z) or a positive integer")
     return (_howell_bits if N == 2 else _howell_lists)(rows, N, stop, L)
 
 
 def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
-    w = L // N
+    w = L // N if L else 0
 
     def combine(u: Row, s: int, v: Row, t: int) -> Row:
         """u^s v^t: the entries s u + t v, and for labels the phase of the
         product, pauli_pow's closed form per factor and then the rowsum
         (quant-ph/0406196): X(s x) passing Z(t z') costs chi_{z'}(x)^(st)."""
         (x, a), (y, b) = u, v
-        row = [(s * p + t * q) % N for p, q in zip(x, y)]
+        if N:
+            row = [(s * p + t * q) % N for p, q in zip(x, y)]
+        else:  # over Z
+            row = [s * p + t * q for p, q in zip(x, y)]
         if not w:
             return row, 0
         xz, yz = x[stop:], y[stop:]
@@ -116,7 +126,7 @@ def _howell_lists(rows: Sequence[Row], N: int, stop: int, L: int):
 
     # phases are reduced on entry as combine reduces them, so a step
     # skipped as the identity stores what combine would have
-    pool = [([v % N for v in x], a % L if L else 0) for x, a in rows]
+    pool = [([v % N for v in x] if N else list(x), a % L if L else 0) for x, a in rows]
     pool = [row for row in pool if any(row[0]) or row[1]]
     echelon: list[tuple[int, Row]] = []
     for c in range(stop):
@@ -243,14 +253,21 @@ def howell_reduce(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
 
 
 def _reduce_lists(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
-    rows = [v[:stop] for _, (v, _) in echelon]
-    for i, x in enumerate(rows):
-        for (c, _), y in zip(echelon[i + 1 :], rows[i + 1 :]):
-            q = x[c] // y[c]
-            if q:
-                x = [(a - q * b) % N for a, b in zip(x, y)]
-        rows[i] = tuple(x)
-    return rows
+    rows = [(c, (v[:stop], a)) for c, (v, a) in echelon]
+    return [tuple(_reduce(x, rows[i + 1 :], N)) for i, (_, (x, _)) in enumerate(rows)]
+
+
+def _reduce(v: list[int], echelon, N: int) -> list[int]:
+    """v reduced greedily against each echelon row in turn: a multiple of
+    the row takes v[c], c its pivot column, into [0, pivot), mod N or over Z."""
+    for c, (y, _) in echelon:
+        q = v[c] // y[c]
+        if q:
+            if N:
+                v = [(a - q * b) % N for a, b in zip(v, y)]
+            else:  # over Z
+                v = [a - q * b for a, b in zip(v, y)]
+    return v
 
 
 def _reduce_bits(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
@@ -281,6 +298,13 @@ def solve_mod(
     (0 | -x) exactly when b = A x is reachable: by the Howell property a
     span vector zero before column c has a multiple of pivot c there.
     """
+    if N < 1:
+        raise ValueError("modulus must be a positive integer")
+    return _solve(A, targets, N, num_cols)
+
+
+def _solve(A: IntMatrix, targets, N: int, num_cols: int | None):
+    """solve_mod for a modulus N >= 1, or over Z for N = 0."""
     n = len(A)
     m = len(A[0]) if n else num_cols
     if m is None:
@@ -292,70 +316,19 @@ def solve_mod(
     echelon, pool = howell_eliminate(rows, N, n)
     solutions = []
     for b in targets:
-        v = [x % N for x in b] + [0] * m
-        for c, (row, _) in echelon:
-            q = v[c] // row[c]
-            if q:
-                v = [(x - q * y) % N for x, y in zip(v, row)]
-        solutions.append(None if any(v[:n]) else tuple(-x % N for x in v[n:]))
+        v = _reduce(([e % N for e in b] if N else list(b)) + [0] * m, echelon, N)
+        x = [-e % N for e in v[n:]] if N else [-e for e in v[n:]]
+        solutions.append(None if any(v[:n]) else tuple(x))
     return solutions, [tuple(row[n:]) for row, _ in pool]
-
-
-def _column_echelon(A: IntMatrix, m: int):
-    """Column-style Hermite reduction with unimodular column tracking.
-
-    Returns (H, U, pivots) where H = A*U in column echelon form, U is
-    unimodular m x m, and pivots lists (row, col) positions of the
-    nonzero echelon corners. Columns of U beyond the last pivot column
-    span the integer kernel of A.
-    """
-    n = len(A)
-    H = [list(row) for row in A]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    col = 0
-    for row in range(n):
-        if col == m:
-            break
-        # move a nonzero into the working column, if any
-        nz = next((j for j in range(col, m) if H[row][j] != 0), None)
-        if nz is None:
-            continue
-        if nz != col:
-            for M in (H, U):
-                for i in range(len(M)):
-                    M[i][col], M[i][nz] = M[i][nz], M[i][col]
-        # fold the rest of the row into the pivot by unimodular 2x2 steps
-        for j in range(col + 1, m):
-            if H[row][j] == 0:
-                continue
-            g, s, t = _exgcd(H[row][col], H[row][j])
-            p, q = H[row][col] // g, H[row][j] // g
-            for M in (H, U):
-                for i in range(len(M)):
-                    x, y = M[i][col], M[i][j]
-                    M[i][col] = s * x + t * y
-                    M[i][j] = -q * x + p * y
-        if H[row][col] < 0:
-            for M in (H, U):
-                for i in range(len(M)):
-                    M[i][col] = -M[i][col]
-        # keep earlier columns reduced against the new pivot (size control)
-        piv = H[row][col]
-        for j in range(col):
-            q = H[row][j] // piv
-            if q:
-                for i in range(n):
-                    H[i][j] -= q * H[i][col]
-                for i in range(m):
-                    U[i][j] -= q * U[i][col]
-        pivots.append((row, col))
-        col += 1
-    return H, U, pivots
 
 
 def kernel_basis(A: IntMatrix, num_cols: int | None = None) -> list[tuple[int, ...]]:
     """A lattice basis of the integer kernel {x : A x = 0}.
+
+    solve_diophantine's steps have determinant 1, so they take [A^T | I]
+    to U [A^T | I] with U unimodular, and the rows whose A^T part is zero
+    are a basis of the kernel lattice, not just generators: the others
+    are in echelon form there, so no kernel vector uses them.
 
     Args:
         A: coefficient rows; may be empty.
@@ -369,33 +342,15 @@ def solve_diophantine(
 ) -> DiophantineSolution | None:
     """Solve A x = b exactly over the integers: particular + Z-span(kernel).
 
-    Returns None when no solution exists (a distinguished outcome, not
-    an error). The particular solution and every kernel generator are
-    re-verified against the original rows before returning.
+    solve_mod's elimination over Z (N = 0). Returns None when no solution
+    exists (a distinguished outcome, not an error). The particular
+    solution and every kernel generator are re-verified against the rows;
+    one that fails is an internal fault and raises ArithmeticError.
     """
-    n = len(A)
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match row count")
-    m = len(A[0]) if n else num_cols
-    if m is None:
-        raise ValueError("num_cols required for a matrix with no rows")
-
-    def satisfies(x, rhs) -> bool:
-        return all(sum(map(mul, row, x)) == r for row, r in zip(A, rhs))
-
-    H, U, pivots = _column_echelon(A, m)
-    y = [0] * m
-    for row, col in pivots:
-        rem = b[row] - sum(H[row][j] * y[j] for j in range(col))
-        if rem % H[row][col] != 0:
-            return None
-        y[col] = rem // H[row][col]
-    x = tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
-    kernel = [tuple(U[i][j] for i in range(m)) for j in range(len(pivots), m)]
-    # rows without a pivot may still be violated; verify the lot exactly
-    if not satisfies(x, b):
+    (x,), kernel = _solve(A, [b], 0, num_cols)
+    if x is None:
         return None
-    for k in kernel:
-        if not satisfies(k, [0] * n):
-            raise ArithmeticError(f"kernel vector {k} fails A k = 0")
+    for v, rhs in ((x, b), *((k, [0] * len(A)) for k in kernel)):
+        if any(sum(map(mul, row, v)) != r for row, r in zip(A, rhs)):
+            raise ArithmeticError(f"{v} fails A x = {list(rhs)}")
     return DiophantineSolution(particular=x, kernel=tuple(kernel))

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from helpers import element_at, to_complex
@@ -111,6 +112,21 @@ class Index:
 
     def __index__(self):
         return self.value
+
+
+def test_integer_like_residues_are_stored_as_ints():
+    """The public constructor stores residues of another integer type as
+    plain ints, so such an element prints, compares and hashes as the one
+    built from ints; the range check still reads the converted values."""
+    g = AbelianGroup((4, 6))
+    plain = g.element((1, 2))
+    for residues in [(np.int64(1), np.int64(2)), (Index(1), Index(2)), (True, 2)]:
+        element = GroupElement(g, residues)
+        assert element.residues == (1, 2) and set(map(type, element.residues)) == {int}
+        assert str(element) == "(1,2)"
+        assert element == plain and hash(element) == hash(plain)
+    with pytest.raises(ValueError, match="residue 6 out of range for modulus 6"):
+        GroupElement(g, (np.int64(1), Index(6)))
 
 
 def test_element_reduction_and_arithmetic():

@@ -10,6 +10,7 @@ spanned by the kernel plus the N*e_j.
 import itertools
 import math
 import random
+from fractions import Fraction
 from operator import mul
 from unittest import mock
 
@@ -155,6 +156,17 @@ def test_modulus_one_row_is_no_constraint():
     for delta in [(1, 0), (0, 3)]:
         assert in_lattice(sol.kernel, delta)
     assert not in_lattice(sol.kernel, (0, 1))
+
+
+def test_a_solution_failing_the_recheck_is_a_fault_not_none():
+    """The elimination checks every row, so a particular solution or a
+    kernel vector that fails the exact re-check is an internal fault."""
+    with mock.patch.object(intlinalg, "_solve", lambda *args: ([(0,)], [])):
+        with pytest.raises(ArithmeticError):
+            solve_diophantine([[1]], [1])
+    with mock.patch.object(intlinalg, "_solve", lambda *args: ([(1,)], [(1,)])):
+        with pytest.raises(ArithmeticError):
+            solve_diophantine([[1]], [1])
 
 
 def test_right_hand_side_must_match_rows():
@@ -497,3 +509,61 @@ def test_solve_mod_solves_non_unique_systems_exactly(data):
     for b, x in zip(targets, solutions):
         assert x is not None
         assert all((v - t) % N == 0 for v, t in zip(mat_vec(A, x), b))
+
+
+def rank_over_q(rows, m):
+    """The rank of rows of m entries over Q, by Fraction elimination."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for c in range(m):
+        piv = next((r for r in rows if r[c]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        rows = [[a - r[c] / piv[c] * p for a, p in zip(r, piv)] for r in rows]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_systems(draw):
+    """(A, x0, stop): A with 1 to 8 rows of 1 to 8 entries in [-9, 9], a
+    point x0 with entries in the same range, and a column count stop."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    row = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    A = draw(st.lists(row, min_size=n, max_size=n))
+    return A, draw(row), draw(st.integers(0, m))
+
+
+@settings(max_examples=200)
+@given(integer_systems())
+@example(([[0, 0], [0, 0]], [3, -4], 2))  # no pivot at all
+@example(([[2, 4, -6], [-3, -6, 9]], [1, 1, 1], 3))  # rank 1, negative pivots
+# dense 8 x 8 of rank 7
+@example(([[(3 * i + 5 * j) % 19 - 9 for j in range(8)] for i in range(8)], [1] * 8, 5))
+def test_diophantine_systems_up_to_8x8_are_solved_exactly(case):
+    """For b = A x0 the particular solution and the kernel are exact, x0
+    differs from the particular by a Z-combination of the kernel, and the
+    kernel has m - rank(A) vectors, the rank over Q. The elimination over
+    Z (N = 0) of A's rows over `stop` columns leaves positive pivots in
+    increasing columns, each row zero before its pivot, a pool zero in
+    those columns, and rows that span exactly the lattice of A's rows."""
+    A, x0, stop = case
+    m = len(x0)
+    b = mat_vec(A, x0)
+    sol = solve_diophantine(A, b)
+    assert sol is not None
+    assert mat_vec(A, sol.particular) == b
+    assert all(not any(mat_vec(A, k)) for k in sol.kernel)
+    assert len(sol.kernel) == m - rank_over_q(A, m)
+    assert in_lattice(sol.kernel, [u - v for u, v in zip(x0, sol.particular)])
+
+    echelon, pool = intlinalg.howell_eliminate([(row, 0) for row in A], 0, stop)
+    columns = [c for c, _ in echelon]
+    assert columns == sorted(set(columns))
+    for c, (row, _) in echelon:
+        assert row[c] > 0 and not any(row[:c])
+    assert all(not any(row[:stop]) for row, _ in pool)
+    rows = [tuple(row) for _, (row, _) in echelon] + [tuple(row) for row, _ in pool]
+    assert all(in_lattice(rows, row) for row in A)
+    assert all(in_lattice(A, row) for row in rows)
