@@ -143,6 +143,8 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.bound < 1:
+        raise _UsageError("--bound must be positive")
     # the dense oracle is the only numpy user; other commands never load it
     from .oracle import compare_with_engine
 

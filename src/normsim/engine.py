@@ -9,13 +9,13 @@ other groups keep a list of residues per column.
 Pauli gates only move phases, so they are folded into one frame row
 that the other gates carry along, and its phases are applied once at
 the end.
-At the end the measurement statistics are read off the final labels
-by one Howell elimination over them, every row operation a label
-product: the support is a coset offset + <x parts>, whose Howell basis
-the echelon rows give, and the offset is pinned down by the purely
+At the end the measurement statistics are read off the tableau's rows
+by one Howell elimination, every row operation a label product: the
+support is a coset offset + <x parts>, whose Howell basis the echelon
+rows give, and the offset solves the character system of the purely
 diagonal stabilizer elements the other rows generate. The result is
 already in the canonical form that sampling the uniform distribution
-over the coset reads, and no state vector is needed at any point.
+over the coset reads, and no label or state vector is built for it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, repeat
-from operator import add, floordiv, getitem, index, mod, mul, xor
+from operator import add, getitem, index, mod, mul, xor
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -49,7 +49,7 @@ from .homs import (
 # auto_inverse, endo_dual, kernel_basis, pauli_dagger, pauli_identity,
 # pauli_mul, pauli_pow, extract_endo and quad_eval have no caller here;
 # perfbench's tracer wraps them in this namespace, so they stay bound
-from .intlinalg import howell_eliminate, howell_reduce, kernel_basis, mod_table
+from .intlinalg import howell_eliminate, kernel_basis, mod_table
 from .intlinalg import pack_bits, pack_bytes, transpose, unpack_bits, unpack_bytes
 from .pauli import PauliLabel, pauli_dagger, pauli_identity, pauli_mul, pauli_pow
 from .quadratic import QuadraticEncoding, extract_endo, quad_eval
@@ -79,13 +79,6 @@ def _check_targets(group: AbelianGroup, targets: Sequence[int]) -> tuple[int, ..
     return t
 
 
-def _common_group(labels: Sequence[PauliLabel]) -> AbelianGroup:
-    group = labels[0].group
-    if any(s.group != group for s in labels):
-        raise GroupMismatchError("stabilizer labels over different groups")
-    return group
-
-
 class Tableau:
     """Stabilizer labels by column (Aaronson-Gottesman, quant-ph/0406196).
 
@@ -99,7 +92,7 @@ class Tableau:
     Stim, arXiv:2103.02202): the product F of the Pauli gates so far, up
     to phase. Later gates conjugate it like any other row and a Pauli
     gate only adds its parts into it, so the circuit acts as F U' with U'
-    its other gates. labels() applies F's commutation character to every
+    its other gates. rows() applies F's commutation character to every
     row once and drops the frame; F's own phase never matters.
 
     Labels over Z_2^m (moduli of lcm 2) make a _Z2Tableau, which holds
@@ -112,12 +105,15 @@ class Tableau:
     """
 
     def __new__(cls, labels: Sequence[PauliLabel]):
-        if cls is Tableau and math.lcm(*labels[0].group.moduli) == 2:
+        group = labels[0].group
+        if any(s.group != group for s in labels):
+            raise GroupMismatchError("stabilizer labels over different groups")
+        if cls is Tableau and math.lcm(*group.moduli) == 2:
             cls = _Z2Tableau
         return super().__new__(cls)
 
     def __init__(self, labels: Sequence[PauliLabel]):
-        self.group = _common_group(labels)
+        self.group = labels[0].group
         self.z = [list(col) for col in zip(*(s.z_part.residues for s in labels))]
         self.x = [list(col) for col in zip(*(s.x_part.residues for s in labels))]
         self.phase = [s.phase.value for s in labels]
@@ -178,13 +174,17 @@ class Tableau:
             rows = zip(self.phase, zip(*cols))
             self.phase = [(a + sum(map(mul, coefs, row))) % L for a, row in rows]
 
-    def labels(self) -> tuple[PauliLabel, ...]:
+    def rows(self) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+        """(a, z, x) per label: residue tuples here, bytes in _Z2Tableau."""
         if self.framed:
             self._flush_frame()
+        return zip(self.phase, zip(*self.z), zip(*self.x))
+
+    def labels(self) -> tuple[PauliLabel, ...]:
         # every gate keeps columns and phases reduced, so rows need no check
         g, element, label = self.group, GroupElement._reduced, PauliLabel._reduced
-        rows = zip(self.phase, zip(*self.z), zip(*self.x))
-        return tuple(label(a, element(g, z), element(g, x)) for a, z, x in rows)
+        return tuple(label(a, element(g, tuple(z)), element(g, tuple(x)))
+                     for a, z, x in self.rows())
 
 
 class _Z2Tableau(Tableau):
@@ -197,8 +197,8 @@ class _Z2Tableau(Tableau):
     """
 
     def __init__(self, labels: Sequence[PauliLabel]):
-        self.group = group = _common_group(labels)
-        m = group.num_factors
+        self.group = labels[0].group
+        m = self.group.num_factors
         self.a = [s.phase.value for s in labels]
         self.z = list(map(pack_bits, transpose([s.z_part.residues for s in labels], m)))
         self.x = list(map(pack_bits, transpose([s.x_part.residues for s in labels], m)))
@@ -249,19 +249,18 @@ class _Z2Tableau(Tableau):
         self.fz ^= pack_bits(p.z_part.residues[::-1])
         self.fx ^= pack_bits(p.x_part.residues[::-1])
 
-    def labels(self) -> tuple[PauliLabel, ...]:
+    def rows(self) -> Iterator[tuple[int, bytes, bytes]]:
         # F ~ Z(g) X(h) moves each phase by chi_g(x) chi_z(-h), |G| (g.x + h.z)
         m = len(self.z)
         for cols, frame in ((self.x, self.fz), (self.z, self.fx)):
             for col in compress(cols, unpack_bits(frame, m)[::-1]):
                 self.p1 ^= col
         self.fz = self.fx = 0
-        g, R, element = self.group, len(self.a), GroupElement._reduced
-        U, L, label = g.order // 2, g.phase_modulus, PauliLabel._reduced
-        rows = zip(self.a, *(transpose([unpack_bits(c, R) for c in cols], R)
-                             for cols in ((self.p0, self.p1), self.z, self.x)))
-        return tuple(label((a + U * (k[0] + 2 * k[1])) % L, element(g, tuple(z)),
-                           element(g, tuple(x))) for a, k, z, x in rows)
+        R, U, L = len(self.a), self.group.order // 2, self.group.phase_modulus
+        k, z, x = (transpose([unpack_bits(c, R) for c in cols], R)
+                   for cols in ((self.p0, self.p1), self.z, self.x))
+        phases = [(a + U * (k0 + 2 * k1)) % L for a, (k0, k1) in zip(self.a, k)]
+        return zip(phases, z, x)
 
 
 def _axpy(acc: list[int], c: int, col: list[int], mod: int) -> list[int]:
@@ -288,8 +287,9 @@ def _xor_push(A: EndoMatrix, cols: list[int], frame: int) -> tuple[list[int], in
     return acc, out
 
 
-def _on_tableau(apply):
-    """conjugate(target): apply to a Tableau in place, or to one label."""
+def _on_tableau(update: str):
+    """A gate's conjugate(target): the Tableau update of that name, on a
+    Tableau in place or on one label."""
 
     def conjugate(self, target: Tableau | PauliLabel) -> Tableau | PauliLabel:
         tab = target if isinstance(target, Tableau) else Tableau((target,))
@@ -297,7 +297,7 @@ def _on_tableau(apply):
             raise GroupMismatchError(
                 f"gate over {self.group} applied to labels over {tab.group}"
             )
-        apply(self, tab)
+        getattr(tab, update)(self)
         return tab if tab is target else tab.labels()[0]
 
     return conjugate
@@ -319,9 +319,7 @@ class FourierGate:
     def __post_init__(self):
         object.__setattr__(self, "targets", _check_targets(self.group, self.targets))
 
-    @_on_tableau
-    def conjugate(self, tab: Tableau) -> None:
-        tab.fourier(self)
+    conjugate = _on_tableau("fourier")
 
 
 @dataclass(frozen=True)
@@ -344,9 +342,7 @@ class AutomorphismGate:
     def group(self) -> AbelianGroup:
         return self.matrix.group
 
-    @_on_tableau
-    def conjugate(self, tab: Tableau) -> None:
-        tab.automorphism(self)
+    conjugate = _on_tableau("automorphism")
 
 
 @dataclass(frozen=True)
@@ -359,9 +355,7 @@ class QuadraticGate:
     def group(self) -> AbelianGroup:
         return self.encoding.group
 
-    @_on_tableau
-    def conjugate(self, tab: Tableau) -> None:
-        tab.quadratic(self)
+    conjugate = _on_tableau("quadratic")
 
 
 @dataclass(frozen=True)
@@ -374,9 +368,7 @@ class PauliGate:
     def group(self) -> AbelianGroup:
         return self.label.group
 
-    @_on_tableau
-    def conjugate(self, tab: Tableau) -> None:
-        tab.pauli(self)
+    conjugate = _on_tableau("pauli")
 
 
 Gate = FourierGate | AutomorphismGate | QuadraticGate | PauliGate
@@ -423,14 +415,17 @@ def init_stabilizer(coset: CosetInput) -> StabilizerSet:
     return tuple(labels)
 
 
-def conjugate_circuit(labels: StabilizerSet, gates: Iterable[Gate]) -> StabilizerSet:
-    """One tableau update per gate; GroupMismatchError on a foreign gate."""
-    if not labels:
+def conjugate_circuit(
+    stabilizer: StabilizerSet | Tableau, gates: Iterable[Gate]
+) -> StabilizerSet | Tableau:
+    """One tableau update per gate; GroupMismatchError on a foreign gate.
+    A Tableau is conjugated in place and returned, labels as labels."""
+    if not stabilizer:  # a Tableau is never empty
         return ()
-    tab = Tableau(labels)
+    tab = stabilizer if isinstance(stabilizer, Tableau) else Tableau(stabilizer)
     for gate in gates:
         gate.conjugate(tab)
-    return tab.labels()
+    return tab if tab is stabilizer else tab.labels()
 
 
 @dataclass(frozen=True)
@@ -609,28 +604,27 @@ def _byte_steps(
     return steps
 
 
-def output_distribution(labels: StabilizerSet) -> OutputDistribution:
+def output_distribution(stabilizer: StabilizerSet | Tableau) -> OutputDistribution:
     """Read measurement statistics off a conjugated stabilizer set.
 
-    One Howell elimination runs over the labels as rows (x | z | a), x
-    embedded in Z_N^m as Subgroup.howell does, and every row operation
-    is a label product (see howell_eliminate). The echelon rows' X parts,
-    reduced, are then the Howell basis of the support, generated by the X parts.
-    The pool rows are the purely diagonal stabilizer elements gamma^c
-    Z(z), and they generate all of them; fixing the state forces
-    chi_z(x) = gamma^{-c} on every support point x, which pins down the
-    offset. The distribution comes back in its canonical form.
+    One Howell elimination runs over a Tableau's rows (x | z | a), x
+    embedded in Z_N^m as HowellBasis.from_echelon takes it, and every row
+    operation is a label product (see howell_eliminate). The echelon rows'
+    X parts, reduced, are then the Howell basis of the support. The pool
+    rows are the purely diagonal stabilizer elements gamma^c Z(z), and
+    they generate all of them; fixing the state forces chi_z(x) =
+    gamma^{-c} on every support point x, a second system that pins down
+    the offset. The distribution comes back in its canonical form.
     """
-    if not labels:
+    if not stabilizer:  # a Tableau is never empty
         raise EngineError("empty stabilizer set")
-    group = _common_group(labels)
+    tab = stabilizer if isinstance(stabilizer, Tableau) else Tableau(stabilizer)
+    group = tab.group
     d, L, m = group.moduli, group.phase_modulus, group.num_factors
     N = math.lcm(*d)
-    scale = [N // dj for dj in d]
-    rows = [
-        ([*map(mul, scale, s.x_part.residues), *s.z_part.residues], s.phase.value)
-        for s in labels
-    ]
+    scale = [N // dj for dj in d]  # N is 2 exactly on a _Z2Tableau's byte rows
+    rows = [(x + z if N == 2 else [*map(mul, scale, x), *z], a)
+            for a, z, x in tab.rows()]
     echelon, pool = howell_eliminate(rows, N, m, L)
     element = GroupElement._reduced
     diag_gens: list[GroupElement] = []
@@ -649,18 +643,14 @@ def output_distribution(labels: StabilizerSet) -> OutputDistribution:
     offset = solve_character_system(group, diag_gens, diag_phases)
     if offset is None:
         raise EngineError("diagonal constraints are unsatisfiable")
-    x_parts = howell_reduce(echelon, N, m)  # column j a multiple of N/d_j
-    basis = HowellBasis(
-        group,
-        tuple(element(group, tuple(map(floordiv, v, scale))) for v in x_parts),
-        tuple(c for c, _ in echelon),
-    )
+    basis = HowellBasis.from_echelon(group, echelon)
     return OutputDistribution.from_canonical(basis.reduce(offset), basis)
 
 
 def simulate(coset: CosetInput, gates: Sequence[Gate]) -> OutputDistribution:
     """Full pipeline: stabilizer init, conjugation, statistics."""
-    return output_distribution(conjugate_circuit(init_stabilizer(coset), gates))
+    tab = conjugate_circuit(Tableau(init_stabilizer(coset)), gates)
+    return output_distribution(tab)
 
 
 def _draw_blocks(rng: random.Random, n: int, shots: int) -> Iterator[Sequence[int]]:
@@ -717,6 +707,9 @@ def sample_stream(
     read; over a wider coset maps chain the draw, the decode and the
     element constructor.
     """
+    shots = index(shots)  # here, not once the stream is first read
+    if shots < 0:
+        raise ValueError(f"shot count must be nonnegative, got {shots}")
     size, decode, shared = dist._packed
     draws = chain.from_iterable(_draw_blocks(random.Random(seed), size, shots))
     if shared is not None:

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mod, mul
+from operator import floordiv, mod, mul
 from typing import Sequence
 
-from .groups import ENUM_BOUND, AbelianGroup, GroupElement, check_size
-from .intlinalg import howell_form, solve_mod
+from .groups import ENUM_BOUND, AbelianGroup, GroupElement, GroupMismatchError
+from .groups import check_size
+from .intlinalg import howell_eliminate, howell_reduce, solve_mod
 # no caller here: perfbench's tracer wraps these two in this namespace,
 # so they stay bound until it reads in-package stats (ROADMAP item 1)
 from .intlinalg import kernel_basis, solve_diophantine
@@ -64,6 +65,8 @@ class EndoMatrix:
         return self.columns[col].residues[row]
 
     def apply(self, g: GroupElement) -> GroupElement:
+        if g.group is not self.group and g.group != self.group:
+            raise GroupMismatchError(f"{g} of {g.group} given to a map of {self.group}")
         acc = [0] * self.group.num_factors
         for gi, col in zip(g.residues, self.columns):
             if gi:
@@ -155,19 +158,11 @@ class Subgroup:
 
     @cached_property
     def howell(self) -> HowellBasis:
-        """The Howell basis, built once: x_i -> (N/d_i) x_i, N = lcm(d),
-        embeds G in Z_N^m, so the Howell rows of the embedded generators
-        are multiples of N/d_i in column i and divide back into G."""
-        d = self.group.moduli
-        N = math.lcm(*d)
-        scale = [N // dj for dj in d]
-        embedded = [[s * v for s, v in zip(scale, h.residues)] for h in self.generators]
-        rows = [
-            self.group.element([v // s for v, s in zip(row, scale)])
-            for row in howell_form(embedded, N)
-        ]
-        pivots = tuple(h.nonzero_residues[0][0] for h in rows)
-        return HowellBasis(self.group, tuple(rows), pivots)
+        """The Howell basis, built once from the generators embedded in
+        Z_N^m as HowellBasis.from_echelon takes them."""
+        N, rows = _character_rows(self.group, self.generators)
+        echelon, _ = howell_eliminate([(v, 0) for v in rows], N, self.group.num_factors)
+        return HowellBasis.from_echelon(self.group, echelon)
 
 
 def _character_rows(group: AbelianGroup, gens: Sequence[GroupElement]):
@@ -245,6 +240,18 @@ class HowellBasis:
     rows: tuple[GroupElement, ...]
     pivots: tuple[int, ...]
 
+    @classmethod
+    def from_echelon(cls, group: AbelianGroup, echelon) -> HowellBasis:
+        """The basis from howell_eliminate's echelon over rows that start
+        with x in G embedded in Z_N^m, x_j -> (N/d_j) x_j, N = lcm(d): the
+        reduced rows are multiples of N/d_j in column j and divide back."""
+        N = math.lcm(*group.moduli)
+        scale = [N // dj for dj in group.moduli]
+        rows = howell_reduce(echelon, N, group.num_factors)
+        element = GroupElement._reduced
+        gens = tuple(element(group, tuple(map(floordiv, v, scale))) for v in rows)
+        return cls(group, gens, tuple(c for c, _ in echelon))
+
     @property
     def radices(self) -> tuple[int, ...]:
         d = self.group.moduli
@@ -256,6 +263,8 @@ class HowellBasis:
 
     def reduce(self, g: GroupElement) -> GroupElement:
         """The canonical representative of the coset g + H."""
+        if g.group is not self.group and g.group != self.group:
+            raise GroupMismatchError(f"{g} of {g.group} reduced in {self.group}")
         d = self.group.moduli
         x = g.residues
         for c, h in zip(self.pivots, self.rows):

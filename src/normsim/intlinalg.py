@@ -6,8 +6,9 @@ goes through one primitive, the Howell elimination `howell_eliminate`:
 every entry in [0, N), and `solve_diophantine` runs it over Z (N = 0),
 where the solution set is particular + Z-span(kernel). The elimination
 runs over labels too and leaves its echelon unreduced: the solvers need
-no reduction, and `howell_reduce` reduces it for `howell_form` and
-readout, the callers that read the canonical form.
+no reduction, and `howell_reduce` reduces it to the canonical Howell
+form that `homs.HowellBasis.from_echelon` reads, for subgroups and
+readout alike.
 
 Packed rows are the formats the Z_2 elimination, the bit tableau and the
 sampler share: a bit row holds n entries mod 2 in one int, entry 0 in the
@@ -44,27 +45,6 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s = -old_r, -old_s
     return old_r, old_s, (old_r - old_s * a) // b if b else 0
-
-
-def howell_form(rows: IntMatrix, N: int) -> list[tuple[int, ...]]:
-    """Howell form of the Z_N-module spanned by `rows`.
-
-    Returns rows with entries in [0, N), in row-echelon form: each row's
-    first nonzero entry (its pivot) divides N, pivots sit in strictly
-    increasing columns, and entries above a pivot are reduced below it.
-    The rows span the same submodule of Z_N^n as the input, and they
-    have the Howell property: every vector of the span that is zero in
-    its first k columns is a Z_N-combination of the rows whose pivot
-    column is k or later. So greedy reduction against the rows decides
-    membership, and the rows with zeros in a leading block span exactly
-    the span vectors that vanish there.
-    """
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
-        raise ValueError("rows must all have the same length")
-    if N < 1:
-        raise ValueError("modulus must be a positive integer")
-    return howell_reduce(howell_eliminate([(row, 0) for row in rows], N, n)[0], N, n)
 
 
 Row = tuple[list[int], int]
@@ -248,7 +228,13 @@ def _howell_bits(rows: Sequence[Row], N: int, stop: int, L: int):
 
 def howell_reduce(echelon, N: int, stop: int) -> list[tuple[int, ...]]:
     """The leading `stop` entries of howell_eliminate's echelon rows, each
-    reduced below the later pivots in one pass: the unique Howell form."""
+    reduced below the later pivots in one pass: the unique Howell form of
+    the Z_N-module M they span. Entries lie in [0, N), each row's pivot
+    (its first nonzero entry) divides N, pivots sit in strictly increasing
+    columns with the entries above them reduced below them, and the rows
+    have the Howell property: every vector of M that is zero in its first
+    k columns is a combination of the rows with pivot column k or later.
+    So greedy reduction against the rows decides membership in M."""
     return (_reduce_bits if N == 2 else _reduce_lists)(echelon, N, stop)
 
 

